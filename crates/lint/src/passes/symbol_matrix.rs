@@ -55,6 +55,13 @@ const FAMILIES: &[&[&str]] = &[
     &["truncate", "truncate64"],
     &["ftruncate", "ftruncate64"],
     &["fopen", "fopen64"],
+    &["fdopen"],
+    &["fclose"],
+    &["mmap", "mmap64"],
+    &["copy_file_range"],
+    &["sendfile", "sendfile64"],
+    &["__read_chk"],
+    &["__pread_chk", "__pread64_chk"],
     // Deliberately single-member: fork needs no hook (the fd table is
     // process-local behind `getpid`, inherited state is COW-correct) and
     // exec* inheriting the shim is environment policy, not interposition.
@@ -82,6 +89,9 @@ const TWINS: &[&[&str]] = &[
     &["truncate", "truncate64"],
     &["ftruncate", "ftruncate64"],
     &["fopen", "fopen64"],
+    &["mmap", "mmap64"],
+    &["sendfile", "sendfile64"],
+    &["__pread_chk", "__pread64_chk"],
     &["fsync", "fdatasync"],
 ];
 

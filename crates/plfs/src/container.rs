@@ -191,17 +191,33 @@ pub fn create_container(
         if excl {
             return Err(Error::Exists(path.to_string()));
         }
-        if is_container(b, path) {
-            return read_params(b, path);
-        }
-        return Err(Error::Exists(path.to_string()));
+        return await_container(b, path);
     }
-    b.mkdir(path)?;
+    match b.mkdir(path) {
+        Ok(()) => {}
+        Err(Error::Exists(_)) if !excl => return await_container(b, path),
+        Err(e) => return Err(e),
+    }
     b.mkdir(&join(path, OPENHOSTS_DIR))?;
     b.mkdir(&join(path, META_DIR))?;
     let access = b.create(&join(path, ACCESS_FILE), true)?;
     access.pwrite(&encode_params(params), 0)?;
     Ok(*params)
+}
+
+/// The parameters of a container another creator may still be making: a
+/// racing non-exclusive create waits, bounded, for the winner's access file
+/// (written last) instead of failing with `Exists`. A directory that never
+/// becomes a container still yields `Exists`.
+fn await_container(b: &dyn Backing, path: &str) -> Result<ContainerParams> {
+    const POLLS: u32 = 200;
+    for _ in 0..POLLS {
+        if let Ok(p) = read_params(b, path) {
+            return Ok(p);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    Err(Error::Exists(path.to_string()))
 }
 
 /// Read back the parameters a container was created with.
@@ -517,6 +533,31 @@ mod tests {
         ));
         // Non-exclusive open of an existing container succeeds.
         create_container(&b, "/f", &ContainerParams::default(), false).unwrap();
+    }
+
+    #[test]
+    fn racing_create_adopts_the_winners_params() {
+        // The loser of a non-exclusive create race can find the winner's
+        // directory before its access file; it waits instead of failing.
+        let b = mem();
+        b.mkdir("/f").unwrap();
+        let p = ContainerParams {
+            num_hostdirs: 3,
+            mode: LayoutMode::Both,
+        };
+        let got = std::thread::scope(|s| {
+            let loser = s.spawn(|| create_container(&b, "/f", &ContainerParams::default(), false));
+            let access = b.create(&join("/f", ACCESS_FILE), true).unwrap();
+            access.pwrite(&encode_params(&p), 0).unwrap();
+            loser.join().unwrap()
+        });
+        assert_eq!(got.unwrap().num_hostdirs, 3);
+        // A directory that never becomes a container still yields Exists.
+        b.mkdir("/d").unwrap();
+        assert!(matches!(
+            create_container(&b, "/d", &ContainerParams::default(), false),
+            Err(Error::Exists(_))
+        ));
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //! `read`, `write`, `pread(64)`, `pwrite(64)`, `readv`, `writev`,
 //! `preadv(64)`, `pwritev(64)`, `preadv2`/`pwritev2` (and their `64v2`
 //! aliases), `lseek(64)`, `close`, `fsync`, `dup`, `dup2`, `unlink`,
-//! `access`, `mkdir`, `rmdir`, `ftruncate(64)`, and the
-//! `stat`/`lstat`/`fstat` family. Calls on paths outside `LDPLFS_MOUNT`
-//! forward to the real libc via `dlsym(RTLD_NEXT, …)`, exactly like the
-//! original.
+//! `access`, `mkdir`, `rmdir`, `ftruncate(64)`, the
+//! `stat`/`lstat`/`fstat` family, the fortified `__read_chk` and
+//! `__pread(64)_chk`, `fopen(64)`, `fdopen`, `fclose`, `mmap(64)`,
+//! `copy_file_range` and `sendfile(64)`. Calls on paths outside
+//! `LDPLFS_MOUNT` forward to the real libc via `dlsym(RTLD_NEXT, …)`,
+//! exactly like the original.
 //!
 //! Faithful to the paper's design, the shim reserves a *genuine* kernel fd
 //! per PLFS open (here via `memfd_create`, avoiding the litter of the
@@ -28,10 +30,22 @@
 //! real `lseek`s — so `dup(2)`'d descriptors share cursors exactly like
 //! ordinary files.
 //!
-//! Read-only opens are served as *snapshots*: the container's logical
-//! bytes are materialised into the reserved `memfd`, so even glibc-internal
-//! I/O (stdio's `fread`, `mmap`) sees them without further interposition.
-//! Set `LDPLFS_SNAPSHOT_READS=0` to force the interposed read path instead.
+//! Reads are served in place: `read`, `pread`, the vectored reads, `lseek`
+//! and `fstat` on any PLFS fd go to `PlfsFd`, so a process copies only the
+//! bytes it asks for. The reserved memfd of a read-only open stays empty
+//! until the fd *escapes* the interposed symbols; then the container's
+//! logical bytes are copied into it once, with real `pwrite`s that leave
+//! the shared cursor alone. The escapes are `fopen`/`fdopen` (stdio reads
+//! run inside glibc), `mmap`, `copy_file_range` and `sendfile` (the kernel
+//! copies from the memfd), and inheritance across `execve`: a read-only
+//! open's memfd is named `ldplfs-ro:<logical path>`, and when the library
+//! loads into an exec'd process it scans `/proc/self/fd`, then adopts and
+//! fills every such fd — so `md5sum < /mount/file` works. A logical path
+//! too long for a memfd name is filled at open instead.
+//!
+//! An in-kernel copy (`copy_file_range`, `sendfile`) that touches a
+//! *writable* PLFS fd fails with `EXDEV`/`EINVAL`, the errors on which
+//! callers such as `cp` fall back to `read`/`write`.
 //!
 //! Tuning knobs (all optional): `LDPLFS_HOSTDIRS`, `LDPLFS_META_CACHE`,
 //! `LDPLFS_OPEN_MARKERS`, `LDPLFS_INDEX_MEMORY_BYTES` (bound the resident
@@ -55,10 +69,21 @@
 //! on the fast tier. As with every other knob, unparsable values keep the
 //! defaults — the shim must never refuse to start over tuning.
 //!
-//! Known limitation (shared with the original): descriptors inherited
-//! *across `execve`* lose their PLFS identity, so shell output redirection
-//! `> /mount/file` feeding an exec'd child is not supported; tools that
-//! open their own outputs (`cp`, applications) work.
+//! Known limitations:
+//!
+//! - Exec adoption needs the library in the child. A child that does not
+//!   load it (environment scrubbed, setuid binary, static binary) sees an
+//!   empty read-only fd.
+//! - Reads the shim never sees — raw `syscall(SYS_read)`, `splice`,
+//!   io_uring — see the empty memfd of a read-only fd that has not escaped.
+//! - `close_range` and `fcntl(F_DUPFD)` are not interposed, so the fd
+//!   table misses what they close or duplicate.
+//! - Writable fds never escape: `mmap` or stdio on them sees the empty
+//!   memfd. Stdio *writes* into the mount (`fopen(path, "w")`) are not
+//!   supported, and writable descriptors inherited across `execve` lose
+//!   their PLFS identity, so shell output redirection `> /mount/file`
+//!   feeding an exec'd child is not supported (shared with the original);
+//!   tools that open their own outputs (`cp`, applications) work.
 
 #![allow(clippy::missing_safety_doc)]
 
@@ -67,7 +92,7 @@ use plfs::{OpenFlags, Plfs, PlfsFd, RealBacking};
 use std::collections::HashMap;
 use std::ffi::CStr;
 use std::os::raw::{c_char, c_int, c_long, c_uint, c_void};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
@@ -88,6 +113,8 @@ const O_CREAT: c_int = 0o100;
 const O_EXCL: c_int = 0o200;
 const O_TRUNC: c_int = 0o1000;
 const O_APPEND: c_int = 0o2000;
+const O_DIRECTORY: c_int = 0o200000;
+const O_CLOEXEC: c_int = 0o2000000;
 
 const SEEK_SET: c_int = 0;
 const SEEK_CUR: c_int = 1;
@@ -96,6 +123,7 @@ const SEEK_END: c_int = 2;
 const EIO: c_int = 5;
 const EBADF: c_int = 9;
 const ENOMEM: c_int = 12;
+const EXDEV: c_int = 18;
 const EINVAL: c_int = 22;
 
 extern "C" {
@@ -106,10 +134,21 @@ extern "C" {
     fn atexit(cb: extern "C" fn()) -> c_int;
 }
 
-const SYS_MEMFD_CREATE: c_long = 319; // x86_64
+// x86_64 syscall numbers, for the calls that must not re-enter the shim.
+const SYS_CLOSE: c_long = 3;
+const SYS_FSTAT: c_long = 5;
+const SYS_GETDENTS64: c_long = 217;
+const SYS_OPENAT: c_long = 257;
+const SYS_READLINKAT: c_long = 267;
+const SYS_MEMFD_CREATE: c_long = 319;
+const MFD_CLOEXEC: c_long = 1;
 
 fn set_errno(e: c_int) {
     unsafe { *__errno_location() = e };
+}
+
+fn errno() -> c_int {
+    unsafe { *__errno_location() }
 }
 
 /// Panic barrier for every `extern "C"` entry point: unwinding across an
@@ -153,17 +192,29 @@ macro_rules! real {
 struct OpenState {
     plfs_fd: Arc<PlfsFd>,
     append: bool,
-    /// Live fds sharing this state (dup counts).
-    refs: AtomicU32,
+    /// `fake_ino` of the logical path, so `fstat` agrees with `stat(path)`
+    /// (`cp` aborts when they differ).
+    ino: u64,
+    /// Set once the container's bytes are in the reserved memfd (read-only
+    /// opens only; see [`ensure_filled`]).
+    filled: AtomicBool,
+}
+
+impl OpenState {
+    fn new(plfs_fd: Arc<PlfsFd>, rel: &str, append: bool) -> Arc<OpenState> {
+        Arc::new(OpenState {
+            plfs_fd,
+            append,
+            ino: fake_ino(rel),
+            filled: AtomicBool::new(false),
+        })
+    }
 }
 
 struct Shim {
     mount: String,
     plfs: Plfs,
     table: RwLock<HashMap<c_int, Arc<OpenState>>>,
-    /// Read-only snapshot fds: fd → (fake inode, logical size), so
-    /// fstat answers match the path-stat answers (cp verifies this).
-    snapshots: RwLock<HashMap<c_int, (u64, u64)>>,
 }
 
 static SHIM: OnceLock<Option<Shim>> = OnceLock::new();
@@ -346,7 +397,6 @@ fn init_shim() -> Option<Shim> {
             mount,
             plfs,
             table: RwLock::new(HashMap::new()),
-            snapshots: RwLock::new(HashMap::new()),
         })
     }
 }
@@ -371,23 +421,40 @@ unsafe fn cstr<'a>(p: *const c_char) -> Option<&'a str> {
     CStr::from_ptr(p).to_str().ok()
 }
 
-fn reserve_fd() -> c_int {
-    // A genuine kernel fd with a real file description (so lseek works and
-    // dup shares cursors) but no filesystem presence. The name is a static
-    // NUL-terminated literal — no CString allocation, nothing to unwrap.
-    const NAME: &[u8] = b"ldplfs-cursor\0";
-    let fd = unsafe {
-        syscall(
-            SYS_MEMFD_CREATE,
-            NAME.as_ptr() as *const c_char,
-            0 as c_long,
-        )
+/// Prefix of a read-only open's memfd name; the rest is the logical path,
+/// which an exec'd process reads back from `/proc/self/fd` (see
+/// [`adopt_inherited`]).
+const RO_PREFIX: &[u8] = b"ldplfs-ro:";
+/// Longest memfd name the kernel accepts, without its NUL.
+const MFD_NAME_MAX: usize = 249;
+
+/// Reserve the kernel fd of a PLFS open: a genuine fd with a real file
+/// description (so lseek works and dup shares cursors) but no filesystem
+/// presence. A read-only open's memfd carries its logical path in its
+/// name when that fits; the returned flag says whether it did. The name is
+/// built on the stack — no allocation, nothing to unwrap.
+fn reserve_fd(rel: &str, read_only: bool, cloexec: bool) -> (c_int, bool) {
+    const CURSOR: &[u8] = b"ldplfs-cursor";
+    let mut name = [0u8; MFD_NAME_MAX + 1];
+    let named = read_only && RO_PREFIX.len() + rel.len() <= MFD_NAME_MAX;
+    let (head, tail) = if named {
+        (RO_PREFIX, rel.as_bytes())
+    } else {
+        (CURSOR, &b""[..])
     };
-    fd as c_int
+    for (dst, src) in name.iter_mut().zip(head.iter().chain(tail)) {
+        *dst = *src;
+    }
+    let flags = if cloexec { MFD_CLOEXEC } else { 0 };
+    let fd = unsafe { syscall(SYS_MEMFD_CREATE, name.as_ptr() as *const c_char, flags) };
+    (fd as c_int, named)
 }
 
+/// The state of a tracked fd. An fd can only be tracked once the shim
+/// exists, so this never initialises it: safe to call from `mmap`, which
+/// allocators call.
 fn lookup(fd: c_int) -> Option<Arc<OpenState>> {
-    let shim = shim()?;
+    let shim = SHIM.get()?.as_ref()?;
     shim.table.read().get(&fd).cloned()
 }
 
@@ -416,6 +483,74 @@ fn cursor_set(fd: c_int, off: OffT) -> OffT {
     unsafe { f(fd, off, SEEK_SET) }
 }
 
+/// Size of the kernel file behind `fd`, from a raw `fstat` that cannot
+/// re-enter the shim.
+fn kernel_size(fd: c_int) -> Option<u64> {
+    let mut st = std::mem::MaybeUninit::<CStat>::zeroed();
+    // SAFETY: the kernel writes at most one `struct stat` into `st`.
+    let r = unsafe { syscall(SYS_FSTAT, fd as c_long, st.as_mut_ptr()) };
+    // SAFETY: zeroed is a valid CStat (plain integers), and fstat filled it.
+    (r == 0).then(|| unsafe { st.assume_init() }.st_size as u64)
+}
+
+/// Copy the container's logical bytes into `fd`'s reserved memfd, once per
+/// open, so code outside the interposed symbols — stdio inside glibc,
+/// `mmap`, in-kernel copies, an exec'd process — sees the file. Real
+/// `pwrite`s leave the shared cursor where it is. A memfd already as large
+/// as the file (filled by another process sharing it) is left alone, and a
+/// racing fill writes the same bytes at the same offsets. Writable fds are
+/// never filled: the copy would go stale at their next write.
+fn ensure_filled(fd: c_int, st: &OpenState) -> plfs::Result<()> {
+    if st.plfs_fd.flags().writable() || st.filled.load(Ordering::Acquire) {
+        return Ok(());
+    }
+    if kernel_size(fd).unwrap_or(0) < st.plfs_fd.size()? {
+        let real_pwrite = real!(
+            pwrite,
+            unsafe extern "C" fn(c_int, *const c_void, SizeT, OffT) -> SsizeT
+        );
+        let mut buf = vec![0u8; 1 << 20];
+        let mut off = 0u64;
+        loop {
+            let n = st.plfs_fd.read(&mut buf, off)?;
+            if n == 0 {
+                break;
+            }
+            let mut done = 0usize;
+            while done < n {
+                let rest = &buf[done..n];
+                let at = (off + done as u64) as OffT;
+                let w = unsafe { real_pwrite(fd, rest.as_ptr() as *const c_void, rest.len(), at) };
+                if w <= 0 {
+                    // A short memfd write (ENOSPC/ENOMEM) must not leave a
+                    // truncated copy marked as the whole file.
+                    return Err(plfs::Error::Io(std::io::Error::from_raw_os_error(ENOMEM)));
+                }
+                done += w as usize;
+            }
+            off += n as u64;
+        }
+    }
+    // Release: the memfd holds the bytes before anyone sees `filled`.
+    st.filled.store(true, Ordering::Release);
+    Ok(())
+}
+
+/// Fill `fd` before it escapes the interposed symbols, if it is tracked;
+/// false, with errno set, when the fill fails.
+fn escape(fd: c_int) -> bool {
+    let Some(st) = lookup(fd) else {
+        return true;
+    };
+    match ensure_filled(fd, &st) {
+        Ok(()) => true,
+        Err(e) => {
+            set_errno(plfs_errno(&e));
+            false
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // open family.
 // ---------------------------------------------------------------------------
@@ -437,47 +572,34 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
     // Translate flags (numeric values match plfs::OpenFlags on Linux).
     let oflags = OpenFlags((flags & (O_ACCMODE | O_CREAT | O_EXCL | O_TRUNC | O_APPEND)) as u32);
     let pid = getpid() as u64;
-    // Read-only opens: materialise a snapshot of the container's logical
-    // bytes into the reserved memfd and hand that fd out *unregistered*.
-    // Every later operation (read, fread, mmap, fstat, lseek) then runs
-    // natively in the kernel — which is what makes glibc-internal I/O
-    // (fopen/fread in md5sum, grep) work without interposing all of stdio.
-    // Writable opens use the interposed bookkeeping path.
-    let snapshot_reads = std::env::var("LDPLFS_SNAPSHOT_READS")
-        .map(|v| v != "0")
-        .unwrap_or(true);
-    if !oflags.writable() && !oflags.create() && snapshot_reads {
-        return match snapshot_open(sh, &rel, pid) {
-            Ok(fd) => fd,
-            Err(e) => {
-                set_errno(plfs_errno(&e));
-                -1
-            }
-        };
-    }
-    match sh.plfs.open(&rel, oflags, pid) {
-        Ok(pfd) => {
-            let fd = reserve_fd();
-            if fd < 0 {
-                let _ = pfd.close(pid);
-                set_errno(ENOMEM);
-                return -1;
-            }
-            sh.table.write().insert(
-                fd,
-                Arc::new(OpenState {
-                    plfs_fd: pfd,
-                    append: flags & O_APPEND != 0,
-                    refs: AtomicU32::new(1),
-                }),
-            );
-            fd
-        }
+    let pfd = match sh.plfs.open(&rel, oflags, pid) {
+        Ok(pfd) => pfd,
         Err(e) => {
             set_errno(plfs_errno(&e));
-            -1
+            return -1;
+        }
+    };
+    let read_only = !oflags.writable();
+    let (fd, named) = reserve_fd(&rel, read_only, flags & O_CLOEXEC != 0);
+    if fd < 0 {
+        let _ = pfd.close(pid);
+        set_errno(ENOMEM);
+        return -1;
+    }
+    let st = OpenState::new(pfd, &rel, flags & O_APPEND != 0);
+    // An exec'd process finds a read-only fd by its memfd name; one whose
+    // path did not fit is filled now instead.
+    if read_only && !named {
+        if let Err(e) = ensure_filled(fd, &st) {
+            let _ = st.plfs_fd.close(pid);
+            let real_close = real!(close, unsafe extern "C" fn(c_int) -> c_int);
+            real_close(fd);
+            set_errno(plfs_errno(&e));
+            return -1;
         }
     }
+    track(sh, fd, st);
+    fd
 }
 
 /// `open(2)`.
@@ -530,54 +652,6 @@ pub unsafe extern "C" fn openat64(
     mode: ModeT,
 ) -> c_int {
     ffi_guard!(-1, do_openat(dirfd, path, flags, mode))
-}
-
-/// Copy a container's logical bytes into a fresh memfd; returns the fd
-/// positioned at offset 0.
-fn snapshot_open(sh: &Shim, rel: &str, pid: u64) -> plfs::Result<c_int> {
-    let ino = fake_ino(rel);
-    let pfd = sh.plfs.open(rel, OpenFlags::RDONLY, pid)?;
-    let fd = reserve_fd();
-    if fd < 0 {
-        let _ = pfd.close(pid);
-        return Err(plfs::Error::Io(std::io::Error::from_raw_os_error(ENOMEM)));
-    }
-    let real_write = real!(
-        write,
-        unsafe extern "C" fn(c_int, *const c_void, SizeT) -> SsizeT
-    );
-    let mut off = 0u64;
-    let mut buf = vec![0u8; 1 << 20];
-    loop {
-        let n = match pfd.read(&mut buf, off) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) => {
-                let _ = pfd.close(pid);
-                let real_close = real!(close, unsafe extern "C" fn(c_int) -> c_int);
-                unsafe { real_close(fd) };
-                return Err(e);
-            }
-        };
-        let mut done = 0usize;
-        while done < n {
-            let w = unsafe { real_write(fd, buf[done..].as_ptr() as *const c_void, n - done) };
-            if w <= 0 {
-                // A short memfd write (ENOSPC/ENOMEM) must not hand out a
-                // truncated snapshot as if it were the whole file.
-                let _ = pfd.close(pid);
-                let real_close = real!(close, unsafe extern "C" fn(c_int) -> c_int);
-                unsafe { real_close(fd) };
-                return Err(plfs::Error::Io(std::io::Error::from_raw_os_error(ENOMEM)));
-            }
-            done += w as usize;
-        }
-        off += n as u64;
-    }
-    let _ = pfd.close(pid);
-    cursor_set(fd, 0);
-    sh.snapshots.write().insert(fd, (ino, off));
-    Ok(fd)
 }
 
 // ---------------------------------------------------------------------------
@@ -736,9 +810,8 @@ pub unsafe extern "C" fn pwrite64(
 // ---------------------------------------------------------------------------
 // vectored I/O. On a tracked fd the iovecs are gathered (writes) or
 // scattered (reads) around ONE PlfsFd list call, so an N-buffer vector
-// costs one index record instead of N. Untracked fds — including read-only
-// snapshots, whose memfd serves vectored reads natively — forward to the
-// real libc symbols.
+// costs one index record instead of N. Untracked fds forward to the real
+// libc symbols.
 // ---------------------------------------------------------------------------
 
 /// `struct iovec` (uapi layout).
@@ -1104,25 +1177,35 @@ pub unsafe extern "C" fn lseek64(fd: c_int, offset: OffT, whence: c_int) -> OffT
     ffi_guard!(-1, do_lseek(fd, offset, whence))
 }
 
+/// Drop `fd`'s entry and its reference on the PLFS open: the bookkeeping
+/// half of `close`, also run by `fclose`, which closes inside glibc.
+fn forget(fd: c_int) {
+    let Some(Some(sh)) = SHIM.get() else {
+        return;
+    };
+    let state = sh.table.write().remove(&fd);
+    if let Some(st) = state {
+        // A dup still holding the PLFS open keeps its own reference.
+        let _ = st.plfs_fd.close(unsafe { getpid() } as u64);
+    }
+}
+
+/// Track `fd` as `st`. An entry left for the number (its fd was closed
+/// where the shim could not see it) is forgotten. Its state drops only
+/// after the table lock is released: dropping the last reference to a PLFS
+/// open closes its droppings through the interposed `close`, which takes
+/// the lock.
+fn track(sh: &Shim, fd: c_int, st: Arc<OpenState>) {
+    let stale = sh.table.write().insert(fd, st);
+    if let Some(old) = stale {
+        let _ = old.plfs_fd.close(unsafe { getpid() } as u64);
+    }
+}
+
 unsafe fn do_close(fd: c_int) -> c_int {
     let real_close = real!(close, unsafe extern "C" fn(c_int) -> c_int);
-    let Some(sh) = shim() else {
-        return real_close(fd);
-    };
-    sh.snapshots.write().remove(&fd);
-    let state = sh.table.write().remove(&fd);
-    match state {
-        None => real_close(fd),
-        Some(st) => {
-            if st.refs.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let _ = st.plfs_fd.close(getpid() as u64);
-            } else {
-                // A dup still holds the PLFS open; drop only this fd.
-                let _ = st.plfs_fd.close(getpid() as u64);
-            }
-            real_close(fd)
-        }
-    }
+    forget(fd);
+    real_close(fd)
 }
 
 /// `close(2)`.
@@ -1165,17 +1248,9 @@ unsafe fn do_dup(fd: c_int) -> c_int {
     let real_dup = real!(dup, unsafe extern "C" fn(c_int) -> c_int);
     let new = real_dup(fd);
     if new >= 0 {
-        if let Some(sh) = shim() {
-            let snap = sh.snapshots.read().get(&fd).copied();
-            if let Some(info) = snap {
-                sh.snapshots.write().insert(new, info);
-            }
-            let state = sh.table.read().get(&fd).cloned();
-            if let Some(st) = state {
-                st.refs.fetch_add(1, Ordering::AcqRel);
-                st.plfs_fd.add_ref(getpid() as u64);
-                sh.table.write().insert(new, st);
-            }
+        if let (Some(sh), Some(st)) = (shim(), lookup(fd)) {
+            st.plfs_fd.add_ref(getpid() as u64);
+            track(sh, new, st);
         }
     }
     new
@@ -1189,24 +1264,17 @@ pub unsafe extern "C" fn dup(fd: c_int) -> c_int {
 
 /// Shared `dup2`/`dup3` fd-table bookkeeping after the real call
 /// succeeded: newfd silently closed any previous identity, then inherits
-/// oldfd's snapshot and container state.
+/// oldfd's container state. `dup2(fd, fd)` changes nothing.
 unsafe fn dup_bookkeeping(sh: &Shim, oldfd: c_int, newfd: c_int) {
-    {
-        let mut snaps = sh.snapshots.write();
-        snaps.remove(&newfd);
-        if let Some(&info) = snaps.get(&oldfd) {
-            snaps.insert(newfd, info);
-        }
+    if oldfd == newfd {
+        return;
     }
-    let old_state = {
-        let mut t = sh.table.write();
-        t.remove(&newfd);
-        t.get(&oldfd).cloned()
-    };
-    if let Some(st) = old_state {
-        st.refs.fetch_add(1, Ordering::AcqRel);
-        st.plfs_fd.add_ref(getpid() as u64);
-        sh.table.write().insert(newfd, st);
+    match lookup(oldfd) {
+        Some(st) => {
+            st.plfs_fd.add_ref(getpid() as u64);
+            track(sh, newfd, st);
+        }
+        None => forget(newfd),
     }
 }
 
@@ -1360,12 +1428,6 @@ pub unsafe extern "C" fn lstat64(path: *const c_char, out: *mut CStat) -> c_int 
 }
 
 unsafe fn do_fstat(fd: c_int, out: *mut CStat) -> c_int {
-    if let Some(sh) = shim() {
-        if let Some(&(ino, size)) = sh.snapshots.read().get(&fd) {
-            fill_stat(out, size, false, ino);
-            return 0;
-        }
-    }
     match lookup(fd) {
         None => {
             let f = real!(fstat, unsafe extern "C" fn(c_int, *mut CStat) -> c_int);
@@ -1373,7 +1435,7 @@ unsafe fn do_fstat(fd: c_int, out: *mut CStat) -> c_int {
         }
         Some(st) => match st.plfs_fd.size() {
             Ok(size) => {
-                fill_stat(out, size, false, 1);
+                fill_stat(out, size, false, st.ino);
                 0
             }
             Err(e) => {
@@ -1649,10 +1711,10 @@ pub unsafe extern "C" fn ftruncate64(fd: c_int, len: OffT) -> c_int {
 // ---------------------------------------------------------------------------
 // stdio entry points: glibc's fopen does NOT route through the exported
 // `open` symbol, so tools like md5sum and grep need fopen itself
-// interposed. Read modes hand back a FILE* over the snapshot memfd (all
-// stdio I/O then runs natively); write modes are not supported through
-// stdio and fall through to the real fopen (which fails cleanly, since
-// the mount path does not exist on the real file system).
+// interposed. Read modes open a tracked fd and fill it (stdio I/O then runs
+// natively on the memfd); write modes are not supported through stdio and
+// fall through to the real fopen (which fails cleanly, since the mount
+// path does not exist on the real file system).
 // ---------------------------------------------------------------------------
 
 unsafe fn do_fopen(path: *const c_char, mode: *const c_char) -> *mut c_void {
@@ -1666,26 +1728,23 @@ unsafe fn do_fopen(path: *const c_char, mode: *const c_char) -> *mut c_void {
     let (Some(p), Some(m)) = (cstr(path), cstr(mode)) else {
         return real_fopen(path, mode);
     };
-    let Some(rel) = logical(sh, p) else {
-        return real_fopen(path, mode);
-    };
-    let read_only = m.starts_with('r') && !m.contains('+');
-    if !read_only {
-        // Unsupported: stdio writes into the mount (see module docs).
+    if logical(sh, p).is_none() || !m.starts_with('r') || m.contains('+') {
+        // Outside the mount, or unsupported: stdio writes into the mount
+        // (see module docs).
         return real_fopen(path, mode);
     }
-    match snapshot_open(sh, &rel, getpid() as u64) {
-        Ok(fd) => {
-            extern "C" {
-                fn fdopen(fd: c_int, mode: *const c_char) -> *mut c_void;
-            }
-            fdopen(fd, mode)
-        }
-        Err(e) => {
-            set_errno(plfs_errno(&e));
-            std::ptr::null_mut()
-        }
+    let cloexec = if m.contains('e') { O_CLOEXEC } else { 0 };
+    let fd = do_open(path, cloexec, 0);
+    if fd < 0 {
+        return std::ptr::null_mut();
     }
+    let fp = do_fdopen(fd, mode);
+    if fp.is_null() {
+        let e = errno();
+        do_close(fd);
+        set_errno(e);
+    }
+    fp
 }
 
 /// `fopen(3)`.
@@ -1698,6 +1757,355 @@ pub unsafe extern "C" fn fopen(path: *const c_char, mode: *const c_char) -> *mut
 #[no_mangle]
 pub unsafe extern "C" fn fopen64(path: *const c_char, mode: *const c_char) -> *mut c_void {
     ffi_guard!(std::ptr::null_mut(), do_fopen(path, mode))
+}
+
+unsafe fn do_fdopen(fd: c_int, mode: *const c_char) -> *mut c_void {
+    let real_fdopen = real!(
+        fdopen,
+        unsafe extern "C" fn(c_int, *const c_char) -> *mut c_void
+    );
+    if !escape(fd) {
+        return std::ptr::null_mut();
+    }
+    real_fdopen(fd, mode)
+}
+
+/// `fdopen(3)`: stdio reads the fd inside glibc, so it escapes.
+#[no_mangle]
+pub unsafe extern "C" fn fdopen(fd: c_int, mode: *const c_char) -> *mut c_void {
+    ffi_guard!(std::ptr::null_mut(), do_fdopen(fd, mode))
+}
+
+unsafe fn do_fclose(fp: *mut c_void) -> c_int {
+    extern "C" {
+        fn fileno(fp: *mut c_void) -> c_int;
+    }
+    let real_fclose = real!(fclose, unsafe extern "C" fn(*mut c_void) -> c_int);
+    if !fp.is_null() {
+        forget(fileno(fp));
+    }
+    real_fclose(fp)
+}
+
+/// `fclose(3)`: glibc closes the fd internally, so its entry is dropped
+/// here first — a stale one would capture the next open of that number.
+#[no_mangle]
+pub unsafe extern "C" fn fclose(fp: *mut c_void) -> c_int {
+    ffi_guard!(-1, do_fclose(fp))
+}
+
+// ---------------------------------------------------------------------------
+// the other escapes: the kernel reads the memfd itself.
+// ---------------------------------------------------------------------------
+
+const MAP_ANONYMOUS: c_int = 0x20;
+const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
+
+unsafe fn do_mmap(
+    addr: *mut c_void,
+    len: SizeT,
+    prot: c_int,
+    flags: c_int,
+    fd: c_int,
+    off: OffT,
+) -> *mut c_void {
+    let real_mmap = real!(
+        mmap,
+        unsafe extern "C" fn(*mut c_void, SizeT, c_int, c_int, c_int, OffT) -> *mut c_void
+    );
+    // Allocators call mmap: anonymous and untracked maps neither initialise
+    // the shim nor allocate (`lookup` only reads an existing table).
+    if flags & MAP_ANONYMOUS == 0 && !escape(fd) {
+        return MAP_FAILED;
+    }
+    real_mmap(addr, len, prot, flags, fd, off)
+}
+
+/// `mmap(2)`.
+#[no_mangle]
+pub unsafe extern "C" fn mmap(
+    addr: *mut c_void,
+    len: SizeT,
+    prot: c_int,
+    flags: c_int,
+    fd: c_int,
+    off: OffT,
+) -> *mut c_void {
+    ffi_guard!(MAP_FAILED, do_mmap(addr, len, prot, flags, fd, off))
+}
+
+/// `mmap64(2)`.
+#[no_mangle]
+pub unsafe extern "C" fn mmap64(
+    addr: *mut c_void,
+    len: SizeT,
+    prot: c_int,
+    flags: c_int,
+    fd: c_int,
+    off: OffT,
+) -> *mut c_void {
+    ffi_guard!(MAP_FAILED, do_mmap(addr, len, prot, flags, fd, off))
+}
+
+/// Ready the fds of an in-kernel copy. A read-only source escapes; a
+/// writable PLFS fd on either side fails with `refuse`, an errno on which
+/// callers fall back to `read`/`write`, which the shim serves.
+fn kernel_copy(fd_in: c_int, fd_out: c_int, refuse: c_int) -> bool {
+    let writable = |fd| lookup(fd).is_some_and(|st| st.plfs_fd.flags().writable());
+    if writable(fd_in) || lookup(fd_out).is_some() {
+        set_errno(refuse);
+        return false;
+    }
+    escape(fd_in)
+}
+
+// plfs-lint: allow(errno-discipline, "kernel_copy sets errno when it refuses; the real call sets its own")
+unsafe fn do_copy_file_range(
+    fd_in: c_int,
+    off_in: *mut OffT,
+    fd_out: c_int,
+    off_out: *mut OffT,
+    len: SizeT,
+    flags: c_uint,
+) -> SsizeT {
+    let f = real!(
+        copy_file_range,
+        unsafe extern "C" fn(c_int, *mut OffT, c_int, *mut OffT, SizeT, c_uint) -> SsizeT
+    );
+    if !kernel_copy(fd_in, fd_out, EXDEV) {
+        return -1;
+    }
+    f(fd_in, off_in, fd_out, off_out, len, flags)
+}
+
+/// `copy_file_range(2)`.
+#[no_mangle]
+pub unsafe extern "C" fn copy_file_range(
+    fd_in: c_int,
+    off_in: *mut OffT,
+    fd_out: c_int,
+    off_out: *mut OffT,
+    len: SizeT,
+    flags: c_uint,
+) -> SsizeT {
+    ffi_guard!(
+        -1,
+        do_copy_file_range(fd_in, off_in, fd_out, off_out, len, flags)
+    )
+}
+
+// plfs-lint: allow(errno-discipline, "kernel_copy sets errno when it refuses; the real call sets its own")
+unsafe fn do_sendfile(out_fd: c_int, in_fd: c_int, off: *mut OffT, count: SizeT) -> SsizeT {
+    let f = real!(
+        sendfile,
+        unsafe extern "C" fn(c_int, c_int, *mut OffT, SizeT) -> SsizeT
+    );
+    if !kernel_copy(in_fd, out_fd, EINVAL) {
+        return -1;
+    }
+    f(out_fd, in_fd, off, count)
+}
+
+/// `sendfile(2)`.
+#[no_mangle]
+pub unsafe extern "C" fn sendfile(
+    out_fd: c_int,
+    in_fd: c_int,
+    off: *mut OffT,
+    count: SizeT,
+) -> SsizeT {
+    ffi_guard!(-1, do_sendfile(out_fd, in_fd, off, count))
+}
+
+/// `sendfile64(2)`.
+#[no_mangle]
+pub unsafe extern "C" fn sendfile64(
+    out_fd: c_int,
+    in_fd: c_int,
+    off: *mut OffT,
+    count: SizeT,
+) -> SsizeT {
+    ffi_guard!(-1, do_sendfile(out_fd, in_fd, off, count))
+}
+
+// ---------------------------------------------------------------------------
+// fortified reads (`-D_FORTIFY_SOURCE`): glibc's checking wrappers call the
+// syscall directly, so they are interposed with glibc's contract — a count
+// larger than the buffer goes to the real symbol, which aborts through
+// `__chk_fail`.
+// ---------------------------------------------------------------------------
+
+unsafe fn do_read_chk(fd: c_int, buf: *mut c_void, count: SizeT, buflen: SizeT) -> SsizeT {
+    let f = real!(
+        __read_chk,
+        unsafe extern "C" fn(c_int, *mut c_void, SizeT, SizeT) -> SsizeT
+    );
+    if count > buflen {
+        return f(fd, buf, count, buflen);
+    }
+    do_read(fd, buf, count)
+}
+
+/// `__read_chk`.
+#[no_mangle]
+pub unsafe extern "C" fn __read_chk(
+    fd: c_int,
+    buf: *mut c_void,
+    count: SizeT,
+    buflen: SizeT,
+) -> SsizeT {
+    ffi_guard!(-1, do_read_chk(fd, buf, count, buflen))
+}
+
+unsafe fn do_pread_chk(
+    fd: c_int,
+    buf: *mut c_void,
+    count: SizeT,
+    off: OffT,
+    buflen: SizeT,
+) -> SsizeT {
+    let f = real!(
+        __pread_chk,
+        unsafe extern "C" fn(c_int, *mut c_void, SizeT, OffT, SizeT) -> SsizeT
+    );
+    if count > buflen {
+        return f(fd, buf, count, off, buflen);
+    }
+    do_pread(fd, buf, count, off)
+}
+
+/// `__pread_chk`.
+#[no_mangle]
+pub unsafe extern "C" fn __pread_chk(
+    fd: c_int,
+    buf: *mut c_void,
+    count: SizeT,
+    off: OffT,
+    buflen: SizeT,
+) -> SsizeT {
+    ffi_guard!(-1, do_pread_chk(fd, buf, count, off, buflen))
+}
+
+/// `__pread64_chk`.
+#[no_mangle]
+pub unsafe extern "C" fn __pread64_chk(
+    fd: c_int,
+    buf: *mut c_void,
+    count: SizeT,
+    off: OffT,
+    buflen: SizeT,
+) -> SsizeT {
+    ffi_guard!(-1, do_pread_chk(fd, buf, count, off, buflen))
+}
+
+// ---------------------------------------------------------------------------
+// exec inheritance.
+// ---------------------------------------------------------------------------
+
+/// Runs when the dynamic loader maps the library, before `main`.
+#[used]
+#[link_section = ".init_array"]
+static ADOPT_AT_LOAD: extern "C" fn() = adopt_at_load;
+
+// plfs-lint: allow(ffi-barrier, "load-time constructor returns (); has its own catch_unwind and restores errno itself")
+extern "C" fn adopt_at_load() {
+    let saved = errno();
+    let _ = std::panic::catch_unwind(adopt_inherited);
+    set_errno(saved);
+}
+
+/// Adopt the read-only PLFS fds this process inherited across `execve`:
+/// each memfd named `ldplfs-ro:<logical path>` becomes a tracked fd and is
+/// filled, since the exec'd program may read it without calling the shim
+/// (`md5sum < /mount/file` reads stdin inside glibc). The scan uses raw
+/// syscalls and stack buffers, and the shim is initialised only when such
+/// an fd exists, so other processes pay one directory read.
+fn adopt_inherited() {
+    let found = inherited_ro_fds();
+    if found.is_empty() {
+        return;
+    }
+    let Some(sh) = shim() else {
+        return;
+    };
+    let pid = unsafe { getpid() } as u64;
+    for (fd, rel) in found {
+        let Ok(pfd) = sh.plfs.open(&rel, OpenFlags::RDONLY, pid) else {
+            continue;
+        };
+        let st = OpenState::new(pfd, &rel, false);
+        if ensure_filled(fd, &st).is_ok() {
+            track(sh, fd, st);
+        } else {
+            let _ = st.plfs_fd.close(pid);
+        }
+    }
+}
+
+/// `(fd, logical path)` of every open memfd named with [`RO_PREFIX`].
+fn inherited_ro_fds() -> Vec<(c_int, String)> {
+    const LINK_PREFIX: &[u8] = b"/memfd:ldplfs-ro:";
+    let mut found = Vec::new();
+    let flags = (O_DIRECTORY | O_CLOEXEC) as c_long;
+    // SAFETY: a NUL-terminated literal path; the kernel returns an fd or -errno.
+    let dir = unsafe {
+        syscall(
+            SYS_OPENAT,
+            AT_FDCWD as c_long,
+            c"/proc/self/fd".as_ptr(),
+            flags,
+        )
+    };
+    if dir < 0 {
+        return found;
+    }
+    let mut ents = [0u8; 4096];
+    loop {
+        // SAFETY: the kernel writes at most `ents.len()` bytes of dirents.
+        let n = unsafe { syscall(SYS_GETDENTS64, dir, ents.as_mut_ptr(), ents.len()) };
+        if n <= 0 {
+            break;
+        }
+        let mut rest = ents.get(..n as usize).unwrap_or(&[]);
+        // struct linux_dirent64: d_ino u64, d_off i64, d_reclen u16,
+        // d_type u8, then the NUL-terminated d_name.
+        while let Some(&[lo, hi]) = rest.get(16..18) {
+            let reclen = u16::from_ne_bytes([lo, hi]) as usize;
+            let name = rest.get(19..reclen).unwrap_or(&[]);
+            rest = rest.get(reclen.max(19)..).unwrap_or(&[]);
+            let Some(fd) = parse_fd(name) else {
+                continue;
+            };
+            let mut link = [0u8; 512];
+            // SAFETY: `name` holds its NUL (the dirent record includes it),
+            // and the kernel writes at most `link.len()` bytes.
+            let len = unsafe {
+                syscall(
+                    SYS_READLINKAT,
+                    dir,
+                    name.as_ptr(),
+                    link.as_mut_ptr(),
+                    link.len(),
+                )
+            };
+            let target = link.get(..len.max(0) as usize).unwrap_or(&[]);
+            let rel = target
+                .strip_prefix(LINK_PREFIX)
+                .map(|r| r.strip_suffix(b" (deleted)").unwrap_or(r));
+            if let Some(Ok(rel)) = rel.map(std::str::from_utf8) {
+                found.push((fd, rel.to_string()));
+            }
+        }
+    }
+    // SAFETY: closes only the directory fd opened above.
+    unsafe { syscall(SYS_CLOSE, dir) };
+    found
+}
+
+/// The fd number a `/proc/self/fd` entry name spells, up to its NUL.
+fn parse_fd(name: &[u8]) -> Option<c_int> {
+    let digits = name.split(|&b| b == 0).next()?;
+    std::str::from_utf8(digits).ok()?.parse().ok()
 }
 
 /// Kernel `struct statx` (uapi, fixed layout).
@@ -1762,14 +2170,10 @@ unsafe fn do_statx(
     };
     // AT_EMPTY_PATH: stat the fd itself (fstat spelling).
     if flags & AT_EMPTY_PATH != 0 {
-        if let Some(&(ino, size)) = sh.snapshots.read().get(&dirfd) {
-            fill_statx(out, size, false, ino);
-            return 0;
-        }
         if let Some(st) = lookup(dirfd) {
             match st.plfs_fd.size() {
                 Ok(size) => {
-                    fill_statx(out, size, false, 1);
+                    fill_statx(out, size, false, st.ino);
                     return 0;
                 }
                 Err(e) => {

@@ -1,7 +1,8 @@
 //! End-to-end tests of the LD_PRELOAD artifact: build the cdylib, then run
 //! real processes under it — first our own smoke binary (std::fs →
-//! interposed libc), then genuine system tools (`cat`, `md5sum`, `cp`) on
-//! a PLFS container, which is exactly the paper's §III.D demonstration.
+//! interposed libc), then genuine system tools (`cat`, `md5sum`, `cp`,
+//! `tail`, `cmp`, shell redirections) on a PLFS container, which is exactly
+//! the paper's §III.D demonstration.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -111,68 +112,85 @@ fn container_structure_created_on_backend() {
     assert!(!hostdirs.is_empty(), "droppings live in hostdirs");
 }
 
+/// Real tools on read-only opens see exactly the plain file's bytes,
+/// whichever way they read: interposed calls (`cat`, `tail`, `cmp`), stdio
+/// (`md5sum` uses `fopen`), an in-kernel copy (`cp` tries
+/// `copy_file_range`), or an fd inherited across `execve` (the `sh -c`
+/// rows). The first file is written by `dd` (cursor writes), the second by
+/// `cp`, whose `copy_file_range` into a PLFS fd is refused so it falls back
+/// to read/write. The second path is too long for a memfd name, so its
+/// read-only fds are filled at open instead of adopted by name.
 #[test]
-fn real_unix_tools_read_containers() {
+fn tool_matrix_matches_plain_file() {
     ensure_built();
-    let env = setup("tools");
+    let env = setup("matrix");
+    let data: Vec<u8> = (0..300_000u32)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    let plain = env.outside.join("plain.bin");
+    std::fs::write(&plain, &data).unwrap();
+    let md5 = Command::new("md5sum").arg(&plain).output().expect("md5sum");
+    let digest = String::from_utf8_lossy(&md5.stdout)[..32].to_string();
+    let long = "x".repeat(245);
+    let writes = [
+        ("data.bin", "dd if=PLAIN of=FILE bs=4096 status=none"),
+        (long.as_str(), "cp PLAIN FILE"),
+    ];
+    for (name, write) in writes {
+        let file = format!("{}/{name}", env.mount.display());
+        let sh = |script: &str| {
+            let mut c = Command::new("sh");
+            c.arg("-c").arg(
+                script
+                    .replace("FILE", &file)
+                    .replace("PLAIN", &plain.display().to_string()),
+            );
+            c
+        };
+        let out = run_preloaded(&env, sh(write));
+        assert!(out.status.success(), "{write} into the mount: {out:?}");
 
-    // Produce a container with dd (write path through the preload).
-    let mut dd = Command::new("dd");
-    dd.arg("if=/dev/urandom")
-        .arg(format!("of={}/data.bin", env.mount.display()))
-        .arg("bs=4096")
-        .arg("count=32")
-        .arg("status=none");
-    let out = run_preloaded(&env, dd);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // cp the container out to a plain file (read path through the preload).
-    let plain = env.outside.join("copy.bin");
-    let mut cp = Command::new("cp");
-    cp.arg(format!("{}/data.bin", env.mount.display()))
-        .arg(&plain);
-    let out = run_preloaded(&env, cp);
-    assert!(
-        out.status.success(),
-        "cp failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(std::fs::metadata(&plain).unwrap().len(), 4096 * 32);
-
-    // md5sum inside the mount must equal md5sum of the plain copy.
-    let mut md5_in = Command::new("md5sum");
-    md5_in.arg(format!("{}/data.bin", env.mount.display()));
-    let out_in = run_preloaded(&env, md5_in);
-    assert!(
-        out_in.status.success(),
-        "md5sum (mount) failed: {}",
-        String::from_utf8_lossy(&out_in.stderr)
-    );
-    let digest_in = String::from_utf8_lossy(&out_in.stdout)
-        .split_whitespace()
-        .next()
-        .unwrap()
-        .to_string();
-
-    let out_plain = Command::new("md5sum").arg(&plain).output().unwrap();
-    let digest_plain = String::from_utf8_lossy(&out_plain.stdout)
-        .split_whitespace()
-        .next()
-        .unwrap()
-        .to_string();
-    assert_eq!(
-        digest_in, digest_plain,
-        "identical bytes through the preload"
-    );
-
-    // cat the container and pipe-count the bytes.
-    let mut cat = Command::new("cat");
-    cat.arg(format!("{}/data.bin", env.mount.display()));
-    let out = run_preloaded(&env, cat);
-    assert!(out.status.success());
-    assert_eq!(out.stdout.len(), 4096 * 32, "cat streamed every byte");
+        let copy = env.outside.join("copy.bin");
+        let rows: Vec<(&str, Command, Vec<u8>)> = vec![
+            ("cat", sh("cat FILE"), data.clone()),
+            (
+                "md5sum",
+                sh("md5sum FILE | cut -d' ' -f1"),
+                digest.clone().into_bytes(),
+            ),
+            (
+                "tail",
+                sh("tail -c 1000 FILE"),
+                data[data.len() - 1000..].to_vec(),
+            ),
+            ("cmp", sh("cmp FILE PLAIN"), Vec::new()),
+            ("cp", sh(&format!("cp FILE {}", copy.display())), Vec::new()),
+            (
+                "md5sum <",
+                sh("md5sum < FILE | cut -d' ' -f1"),
+                digest.clone().into_bytes(),
+            ),
+            (
+                "cat < | wc -c",
+                sh("cat < FILE | wc -c"),
+                data.len().to_string().into_bytes(),
+            ),
+        ];
+        for (tool, cmd, want) in rows {
+            let out = run_preloaded(&env, cmd);
+            assert!(out.status.success(), "{tool} on {name}: {out:?}");
+            let got = match tool {
+                "cat" | "tail" => out.stdout,
+                _ => String::from_utf8_lossy(&out.stdout)
+                    .trim()
+                    .as_bytes()
+                    .to_vec(),
+            };
+            assert!(
+                got == want,
+                "{tool} on {name}: output differs from the plain file"
+            );
+        }
+        assert!(std::fs::read(&copy).unwrap() == data, "cp out of {name}");
+    }
 }
