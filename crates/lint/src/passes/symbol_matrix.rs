@@ -43,6 +43,7 @@ const FAMILIES: &[&[&str]] = &[
     &["close"],
     &["fsync", "fdatasync"],
     &["dup", "dup2", "dup3"],
+    &["fcntl", "fcntl64"],
     &["stat", "stat64"],
     &["lstat", "lstat64"],
     &["fstat", "fstat64"],
@@ -93,6 +94,7 @@ const TWINS: &[&[&str]] = &[
     &["sendfile", "sendfile64"],
     &["__pread_chk", "__pread64_chk"],
     &["fsync", "fdatasync"],
+    &["fcntl", "fcntl64"],
 ];
 
 pub(crate) fn run(graph: &Graph, out: &mut Vec<Finding>) {

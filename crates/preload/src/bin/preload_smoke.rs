@@ -34,6 +34,7 @@ extern "C" {
     fn dup(fd: c_int) -> c_int;
     fn dup2(oldfd: c_int, newfd: c_int) -> c_int;
     fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
+    fn fstat(fd: c_int, st: *mut [i64; 18]) -> c_int;
     fn mmap(
         addr: *mut c_void,
         len: usize,
@@ -66,6 +67,7 @@ extern "C" {
 const O_RDONLY: c_int = 0;
 const O_CLOEXEC: c_int = 0o2000000;
 const AT_FDCWD: c_int = -100;
+const F_DUPFD: c_int = 0;
 const F_GETFD: c_int = 1;
 const FD_CLOEXEC: c_int = 1;
 const PROT_READ: c_int = 1;
@@ -260,6 +262,28 @@ fn read_only_fds(mount: &str, outside: &str) {
     );
     assert_eq!(kernel_size(fd), 0, "in-place reads never fill the memfd");
 
+    // fcntl(F_DUPFD_CLOEXEC) duplicates too: File::try_clone uses it.
+    {
+        let mut clone = f.try_clone().expect("try_clone");
+        assert_eq!(
+            clone.metadata().expect("fstat clone").len(),
+            data.len() as u64
+        );
+        let mut rest = Vec::new();
+        clone.read_to_end(&mut rest).expect("read clone");
+        assert!(
+            rest == data[110..],
+            "try_clone reads on from the shared cursor"
+        );
+        assert_eq!(kernel_size(clone.as_raw_fd()), 0, "a clone reads in place");
+    }
+    let d = unsafe { fcntl(fd, F_DUPFD, 0) };
+    assert!(d >= 0, "fcntl(F_DUPFD)");
+    let n = unsafe { pread(d, head.as_mut_ptr() as *mut c_void, 10, 100) };
+    assert_eq!(&head[..n as usize], &data[100..110], "fcntl(F_DUPFD) pread");
+    unsafe { close(d) };
+    assert_eq!((&f).seek(SeekFrom::Start(110)).expect("lseek"), 110);
+
     // mmap escapes: the memfd is filled once, and the cursor stays put.
     let p = unsafe {
         mmap(
@@ -372,14 +396,51 @@ fn read_only_fds(mount: &str, outside: &str) {
     );
     unsafe { close(again) };
 
+    // A file outside the mount that reuses a stale number is its own file,
+    // whether opened with open or fopen.
+    let six = format!("{outside}/six.dat");
+    fs::write(&six, b"sixsix").expect("write outside");
+    let csix = CString::new(six.clone()).expect("path");
+    for how in ["open", "fopen"] {
+        let stale = open_ro(&cpath, 0);
+        assert_eq!(
+            unsafe { pread(stale, head.as_mut_ptr() as *mut c_void, 8, 0) },
+            8
+        );
+        assert_eq!(
+            unsafe { syscall(SYS_CLOSE, stale as c_long) },
+            0,
+            "raw close"
+        );
+        let (plain, fp) = match how {
+            "open" => (open_ro(&csix, 0), std::ptr::null_mut()),
+            _ => {
+                let fp = unsafe { fopen(csix.as_ptr(), mode.as_ptr()) };
+                assert!(!fp.is_null(), "fopen outside");
+                (unsafe { fileno(fp) }, fp)
+            }
+        };
+        assert_eq!(plain, stale, "the fd number is reused ({how})");
+        let n = unsafe { pread(plain, head.as_mut_ptr() as *mut c_void, 64, 0) };
+        assert_eq!(&head[..n.max(0) as usize], b"sixsix", "plain bytes ({how})");
+        let mut st = std::mem::MaybeUninit::<[i64; 18]>::zeroed();
+        assert_eq!(unsafe { fstat(plain, st.as_mut_ptr()) }, 0, "fstat ({how})");
+        assert_eq!(unsafe { st.assume_init() }[6], 6, "plain size ({how})");
+        unsafe {
+            if fp.is_null() {
+                close(plain);
+            } else {
+                fclose(fp);
+            }
+        }
+    }
+
     // fclose drops the fd's entry: an ordinary file that reuses the number
     // must not answer with the container's size.
     let fp = unsafe { fopen(cpath.as_ptr(), mode.as_ptr()) };
     assert!(!fp.is_null(), "fopen");
     let number = unsafe { fileno(fp) };
     unsafe { fclose(fp) };
-    let six = format!("{outside}/six.dat");
-    fs::write(&six, b"sixsix").expect("write outside");
     let plain = fs::File::open(&six).expect("open outside");
     assert_eq!(plain.as_raw_fd(), number, "the fd number is reused");
     assert_eq!(plain.metadata().expect("fstat").len(), 6, "no stale entry");

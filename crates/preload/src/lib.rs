@@ -17,7 +17,7 @@
 //! `read`, `write`, `pread(64)`, `pwrite(64)`, `readv`, `writev`,
 //! `preadv(64)`, `pwritev(64)`, `preadv2`/`pwritev2` (and their `64v2`
 //! aliases), `lseek(64)`, `close`, `fsync`, `dup`, `dup2`, `unlink`,
-//! `access`, `mkdir`, `rmdir`, `ftruncate(64)`, the
+//! `fcntl(64)`, `access`, `mkdir`, `rmdir`, `ftruncate(64)`, the
 //! `stat`/`lstat`/`fstat` family, the fortified `__read_chk` and
 //! `__pread(64)_chk`, `fopen(64)`, `fdopen`, `fclose`, `mmap(64)`,
 //! `copy_file_range` and `sendfile(64)`. Calls on paths outside
@@ -76,8 +76,11 @@
 //!   empty read-only fd.
 //! - Reads the shim never sees — raw `syscall(SYS_read)`, `splice`,
 //!   io_uring — see the empty memfd of a read-only fd that has not escaped.
-//! - `close_range` and `fcntl(F_DUPFD)` are not interposed, so the fd
-//!   table misses what they close or duplicate.
+//! - `close_range` is not interposed, so the fd table keeps entries for
+//!   the PLFS fds it closes. Such an entry is dropped when its number comes
+//!   back from an interposed `open`/`openat`/`creat`, `fopen` or dup; an
+//!   fd made any other way (`pipe`, `socket`, …) that reuses the number is
+//!   still served from the container.
 //! - Writable fds never escape: `mmap` or stdio on them sees the empty
 //!   memfd. Stdio *writes* into the mount (`fopen(path, "w")`) are not
 //!   supported, and writable descriptors inherited across `execve` lose
@@ -132,6 +135,7 @@ extern "C" {
     fn syscall(num: c_long, ...) -> c_long;
     fn getpid() -> c_int;
     fn atexit(cb: extern "C" fn()) -> c_int;
+    fn fileno(fp: *mut c_void) -> c_int;
 }
 
 // x86_64 syscall numbers, for the calls that must not re-enter the shim.
@@ -561,13 +565,13 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
         unsafe extern "C" fn(*const c_char, c_int, ModeT) -> c_int
     );
     let Some(sh) = shim() else {
-        return real_open(path, flags, mode);
+        return untracked(real_open(path, flags, mode));
     };
     let Some(p) = cstr(path) else {
-        return real_open(path, flags, mode);
+        return untracked(real_open(path, flags, mode));
     };
     let Some(rel) = logical(sh, p) else {
-        return real_open(path, flags, mode);
+        return untracked(real_open(path, flags, mode));
     };
     // Translate flags (numeric values match plfs::OpenFlags on Linux).
     let oflags = OpenFlags((flags & (O_ACCMODE | O_CREAT | O_EXCL | O_TRUNC | O_APPEND)) as u32);
@@ -629,7 +633,7 @@ unsafe fn do_openat(dirfd: c_int, path: *const c_char, flags: c_int, mode: ModeT
         openat,
         unsafe extern "C" fn(c_int, *const c_char, c_int, ModeT) -> c_int
     );
-    f(dirfd, path, flags, mode)
+    untracked(f(dirfd, path, flags, mode))
 }
 
 /// `openat(2)` — handled for `AT_FDCWD` / absolute paths.
@@ -1183,11 +1187,26 @@ fn forget(fd: c_int) {
     let Some(Some(sh)) = SHIM.get() else {
         return;
     };
+    // Most fds were never tracked: the shared lock settles those.
+    if !sh.table.read().contains_key(&fd) {
+        return;
+    }
     let state = sh.table.write().remove(&fd);
     if let Some(st) = state {
         // A dup still holding the PLFS open keeps its own reference.
         let _ = st.plfs_fd.close(unsafe { getpid() } as u64);
     }
+}
+
+/// An fd the kernel just handed out for a file outside the mount. Its
+/// number may still carry an entry left by a close the shim did not see
+/// (`close_range`, a raw syscall); that entry would route the new file's
+/// reads to a container, so it is dropped.
+fn untracked(fd: c_int) -> c_int {
+    if fd >= 0 {
+        forget(fd);
+    }
+    fd
 }
 
 /// Track `fd` as `st`. An entry left for the number (its fd was closed
@@ -1248,10 +1267,7 @@ unsafe fn do_dup(fd: c_int) -> c_int {
     let real_dup = real!(dup, unsafe extern "C" fn(c_int) -> c_int);
     let new = real_dup(fd);
     if new >= 0 {
-        if let (Some(sh), Some(st)) = (shim(), lookup(fd)) {
-            st.plfs_fd.add_ref(getpid() as u64);
-            track(sh, new, st);
-        }
+        dup_bookkeeping(fd, new);
     }
     new
 }
@@ -1262,16 +1278,21 @@ pub unsafe extern "C" fn dup(fd: c_int) -> c_int {
     ffi_guard!(-1, do_dup(fd))
 }
 
-/// Shared `dup2`/`dup3` fd-table bookkeeping after the real call
-/// succeeded: newfd silently closed any previous identity, then inherits
-/// oldfd's container state. `dup2(fd, fd)` changes nothing.
-unsafe fn dup_bookkeeping(sh: &Shim, oldfd: c_int, newfd: c_int) {
+/// Shared fd-table bookkeeping after a real `dup`, `dup2`, `dup3` or
+/// `fcntl(F_DUPFD*)` succeeded: newfd drops any previous identity, then
+/// inherits oldfd's container state. `dup2(fd, fd)` changes nothing. Only
+/// a tracked fd has state, and tracking implies the shim exists, so this
+/// never initialises it.
+fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
     if oldfd == newfd {
         return;
     }
+    let Some(Some(sh)) = SHIM.get() else {
+        return;
+    };
     match lookup(oldfd) {
         Some(st) => {
-            st.plfs_fd.add_ref(getpid() as u64);
+            st.plfs_fd.add_ref(unsafe { getpid() } as u64);
             track(sh, newfd, st);
         }
         None => forget(newfd),
@@ -1282,9 +1303,7 @@ unsafe fn do_dup2(oldfd: c_int, newfd: c_int) -> c_int {
     let real_dup2 = real!(dup2, unsafe extern "C" fn(c_int, c_int) -> c_int);
     let ret = real_dup2(oldfd, newfd);
     if ret >= 0 {
-        if let Some(sh) = shim() {
-            dup_bookkeeping(sh, oldfd, newfd);
-        }
+        dup_bookkeeping(oldfd, newfd);
     }
     ret
 }
@@ -1301,9 +1320,7 @@ unsafe fn do_dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int {
     let real_dup3 = real!(dup3, unsafe extern "C" fn(c_int, c_int, c_int) -> c_int);
     let ret = real_dup3(oldfd, newfd, flags);
     if ret >= 0 {
-        if let Some(sh) = shim() {
-            dup_bookkeeping(sh, oldfd, newfd);
-        }
+        dup_bookkeeping(oldfd, newfd);
     }
     ret
 }
@@ -1312,6 +1329,33 @@ unsafe fn do_dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int {
 #[no_mangle]
 pub unsafe extern "C" fn dup3(oldfd: c_int, newfd: c_int, flags: c_int) -> c_int {
     ffi_guard!(-1, do_dup3(oldfd, newfd, flags))
+}
+
+const F_DUPFD: c_int = 0;
+const F_DUPFD_CLOEXEC: c_int = 1030;
+
+unsafe fn do_fcntl(fd: c_int, cmd: c_int, arg: c_long) -> c_int {
+    let real_fcntl = real!(fcntl, unsafe extern "C" fn(c_int, c_int, c_long) -> c_int);
+    let ret = real_fcntl(fd, cmd, arg);
+    if ret >= 0 && (cmd == F_DUPFD || cmd == F_DUPFD_CLOEXEC) {
+        dup_bookkeeping(fd, ret);
+    }
+    ret
+}
+
+/// `fcntl(2)`. Only `F_DUPFD`/`F_DUPFD_CLOEXEC` touch the fd table — Rust's
+/// `File::try_clone` and Python's `os.dup` duplicate that way; every other
+/// command passes straight through. The variadic third argument is taken
+/// as one `long`, which carries an int or a pointer alike on x86_64.
+#[no_mangle]
+pub unsafe extern "C" fn fcntl(fd: c_int, cmd: c_int, arg: c_long) -> c_int {
+    ffi_guard!(-1, do_fcntl(fd, cmd, arg))
+}
+
+/// `fcntl64(2)` (LFS alias).
+#[no_mangle]
+pub unsafe extern "C" fn fcntl64(fd: c_int, cmd: c_int, arg: c_long) -> c_int {
+    ffi_guard!(-1, do_fcntl(fd, cmd, arg))
 }
 
 // ---------------------------------------------------------------------------
@@ -1722,16 +1766,24 @@ unsafe fn do_fopen(path: *const c_char, mode: *const c_char) -> *mut c_void {
         fopen,
         unsafe extern "C" fn(*const c_char, *const c_char) -> *mut c_void
     );
+    // glibc's fopen opens internally: drop a stale entry for its fd.
+    let passthrough = || {
+        let fp = real_fopen(path, mode);
+        if !fp.is_null() {
+            untracked(fileno(fp));
+        }
+        fp
+    };
     let Some(sh) = shim() else {
-        return real_fopen(path, mode);
+        return passthrough();
     };
     let (Some(p), Some(m)) = (cstr(path), cstr(mode)) else {
-        return real_fopen(path, mode);
+        return passthrough();
     };
     if logical(sh, p).is_none() || !m.starts_with('r') || m.contains('+') {
         // Outside the mount, or unsupported: stdio writes into the mount
         // (see module docs).
-        return real_fopen(path, mode);
+        return passthrough();
     }
     let cloexec = if m.contains('e') { O_CLOEXEC } else { 0 };
     let fd = do_open(path, cloexec, 0);
@@ -1777,9 +1829,6 @@ pub unsafe extern "C" fn fdopen(fd: c_int, mode: *const c_char) -> *mut c_void {
 }
 
 unsafe fn do_fclose(fp: *mut c_void) -> c_int {
-    extern "C" {
-        fn fileno(fp: *mut c_void) -> c_int;
-    }
     let real_fclose = real!(fclose, unsafe extern "C" fn(*mut c_void) -> c_int);
     if !fp.is_null() {
         forget(fileno(fp));
