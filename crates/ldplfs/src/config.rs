@@ -9,8 +9,7 @@
 use crate::posix::{Errno, PosixLayer, PosixResult};
 use crate::shim::{LdPlfs, ShimMount};
 use plfs::{
-    BackendConf, BackendKind, Backing, MountSpec, ObjectBacking, Plfs, PlfsRc, SpreadBacking,
-    TieredBacking,
+    BackendKind, Backing, MountSpec, ObjectBacking, Plfs, PlfsRc, SpreadBacking, TieredBacking,
 };
 use std::sync::Arc;
 
@@ -47,85 +46,74 @@ impl LdPlfsBuilder {
     }
 }
 
+/// Maps a backend path to its backing store.
+type BackingFor<'a> = dyn FnMut(&str) -> plfs::Result<Arc<dyn Backing>> + 'a;
+
 /// Resolve a run of backend paths into one backing: a single path maps
 /// directly, several become a [`SpreadBacking`].
-fn spread(
-    paths: &[String],
-    backing_for: &mut dyn FnMut(&str) -> Arc<dyn Backing>,
-) -> PosixResult<Arc<dyn Backing>> {
-    if paths.len() == 1 {
-        Ok(backing_for(&paths[0]))
-    } else {
-        let backends: Vec<Arc<dyn Backing>> = paths.iter().map(|b| backing_for(b)).collect();
-        Ok(Arc::new(SpreadBacking::new(backends).map_err(Errno::from)?))
-    }
-}
-
-/// Compose the backend stack the global `backend` plfsrc key asks for.
-///
-/// * `direct`/`batched` — the classic spread over every backend path (the
-///   batched submission layer is layered on later by
-///   [`Plfs::with_backend_conf`]).
-/// * `tiered` — the first backend path is the fast (burst-buffer) tier, the
-///   remaining path(s) the slow tier; fewer than two paths is a config error.
-/// * `object` — the spread is re-exposed as an object store of immutable
-///   whole-dropping objects.
-fn composed_backing(
-    spec: &MountSpec,
-    kind: BackendKind,
-    conf: BackendConf,
-    backing_for: &mut dyn FnMut(&str) -> Arc<dyn Backing>,
-) -> PosixResult<Arc<dyn Backing>> {
-    match kind {
-        BackendKind::Direct | BackendKind::Batched => spread(&spec.backends, backing_for),
-        BackendKind::Object => Ok(Arc::new(ObjectBacking::over(spread(
-            &spec.backends,
-            backing_for,
-        )?))),
-        BackendKind::Tiered => {
-            if spec.backends.len() < 2 {
-                // A burst buffer needs a fast tier AND somewhere to destage.
-                return Err(Errno::EINVAL);
-            }
-            let fast = backing_for(&spec.backends[0]);
-            let slow = spread(&spec.backends[1..], backing_for)?;
-            Ok(Arc::new(TieredBacking::new(fast, slow, conf)))
+fn spread(paths: &[String], backing_for: &mut BackingFor) -> plfs::Result<Arc<dyn Backing>> {
+    match paths {
+        [one] => backing_for(one),
+        _ => {
+            let backends = paths
+                .iter()
+                .map(|b| backing_for(b))
+                .collect::<plfs::Result<_>>()?;
+            Ok(Arc::new(SpreadBacking::new(backends)?))
         }
     }
 }
 
-/// Build a [`Plfs`] instance for one parsed [`MountSpec`], resolving backend
-/// paths through `backing_for`. Uses the default direct backend stack; see
-/// [`plfs_for_spec_with_backend`] for the scale-out variants.
-pub fn plfs_for_spec(
+/// Build the [`Plfs`] of one mount of a parsed `plfsrc`, with every global
+/// knob of `rc` layered on, and also return the tiered backing under it,
+/// if any, so that a short-lived host can drain its destage queue at exit.
+///
+/// The backend stack is the one the `backend` key asks for:
+/// * `direct`/`batched` — the classic spread over every backend path (the
+///   batched submission layer is layered on by
+///   [`Plfs::with_backend_conf`]; `batched` with no explicit depth turns it
+///   on).
+/// * `tiered` — the first backend path is the fast (burst-buffer) tier, the
+///   remaining path(s) the slow tier; fewer than two paths is a config error.
+/// * `object` — the spread is re-exposed as an object store of immutable
+///   whole-dropping objects.
+pub fn plfs_for_mount(
+    rc: &PlfsRc,
     spec: &MountSpec,
-    backing_for: &mut dyn FnMut(&str) -> Arc<dyn Backing>,
-) -> PosixResult<Plfs> {
-    plfs_for_spec_with_backend(
-        spec,
-        BackendKind::Direct,
-        BackendConf::default(),
-        backing_for,
-    )
-}
-
-/// Build a [`Plfs`] instance for one parsed [`MountSpec`] with an explicit
-/// backend stack ([`BackendKind`]) and submission-layer knobs.
-pub fn plfs_for_spec_with_backend(
-    spec: &MountSpec,
-    kind: BackendKind,
-    mut conf: BackendConf,
-    backing_for: &mut dyn FnMut(&str) -> Arc<dyn Backing>,
-) -> PosixResult<Plfs> {
-    // `backend batched` with no explicit depth still means "turn it on".
-    if kind == BackendKind::Batched && !conf.batching() {
+    backing_for: &mut BackingFor,
+) -> PosixResult<(Plfs, Option<Arc<TieredBacking>>)> {
+    let mut conf = rc.backend_conf();
+    if rc.backend == BackendKind::Batched && !conf.batching() {
         conf = conf.with_submit_depth(plfs::conf::DEFAULT_SUBMIT_DEPTH);
     }
-    let backing = composed_backing(spec, kind, conf, backing_for)?;
-    Ok(Plfs::new(backing)
+    let mut tiered = None;
+    let backing: Arc<dyn Backing> = match rc.backend {
+        BackendKind::Direct | BackendKind::Batched => spread(&spec.backends, backing_for)?,
+        BackendKind::Object => Arc::new(ObjectBacking::over(spread(&spec.backends, backing_for)?)),
+        // A burst buffer needs a fast tier AND somewhere to destage.
+        BackendKind::Tiered if spec.backends.len() < 2 => return Err(Errno::EINVAL),
+        BackendKind::Tiered => {
+            let fast = backing_for(&spec.backends[0])?;
+            let slow = spread(&spec.backends[1..], backing_for)?;
+            let t = Arc::new(TieredBacking::new(fast, slow, conf));
+            tiered = Some(Arc::clone(&t));
+            t
+        }
+    };
+    // The write conf replaces the whole struct, so the per-mount index
+    // buffer depth is layered back on top of the global knobs.
+    let write_conf = rc
+        .write_conf()
+        .with_index_buffer_entries(spec.index_buffer_entries);
+    let plfs = Plfs::new(backing)
         .with_params(spec.params)
-        .with_index_buffer(spec.index_buffer_entries)
-        .with_backend_conf(conf))
+        .with_backend_conf(conf)
+        .with_read_conf(rc.read_conf())
+        .with_write_conf(write_conf)
+        .with_meta_conf(rc.meta_conf())
+        .with_list_io_conf(rc.list_io_conf())
+        .with_cache_conf(rc.cache_conf());
+    Ok((plfs, tiered))
 }
 
 /// Build a shim from `plfsrc` text. `backing_for` maps each backend path in
@@ -138,18 +126,7 @@ pub fn from_plfsrc(
     let rc = PlfsRc::parse(plfsrc).map_err(Errno::from)?;
     let mut builder = LdPlfsBuilder::new(under);
     for spec in &rc.mounts {
-        // The write conf replaces the whole struct, so the per-mount index
-        // buffer depth is layered back on top of the global knobs.
-        let write_conf = rc
-            .write_conf()
-            .with_index_buffer_entries(spec.index_buffer_entries);
-        let plfs =
-            plfs_for_spec_with_backend(spec, rc.backend, rc.backend_conf(), &mut backing_for)?
-                .with_read_conf(rc.read_conf())
-                .with_write_conf(write_conf)
-                .with_meta_conf(rc.meta_conf())
-                .with_list_io_conf(rc.list_io_conf())
-                .with_cache_conf(rc.cache_conf());
+        let (plfs, _) = plfs_for_mount(&rc, spec, &mut |p| Ok(backing_for(p)))?;
         builder = builder.mount(spec.mount_point.clone(), plfs);
     }
     builder.build()

@@ -10,9 +10,10 @@
 //! the layer is this crate's equivalent of exporting `LD_PRELOAD`.
 //!
 //! The shim reproduces the paper's two bookkeeping mechanisms exactly
-//! (§III.A): POSIX descriptor synthesis by opening a scratch file, and PLFS
-//! file-pointer maintenance through `lseek` on that descriptor. See
-//! [`shim`] for details.
+//! (§III.A): POSIX descriptor synthesis, and PLFS file-pointer maintenance
+//! through `lseek` on that descriptor. They live once, in the shim core
+//! [`fdtable`], which both [`LdPlfs`] and the shipped `LD_PRELOAD` library
+//! run; see [`shim`] for this crate's front end.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -36,15 +37,17 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod fdtable;
 pub mod posix;
 pub mod realposix;
 pub mod shim;
 pub mod stats;
 pub mod stdio;
 
-pub use config::{from_plfsrc, plfs_for_spec, plfs_for_spec_with_backend, LdPlfsBuilder};
+pub use config::{from_plfsrc, plfs_for_mount, LdPlfsBuilder};
+pub use fdtable::{clear_virtual_pid, current_pid, set_virtual_pid, ShimMount};
 pub use posix::{Errno, Fd, OpenFlags, PosixDirent, PosixLayer, PosixResult, PosixStat, Whence};
 pub use realposix::RealPosix;
-pub use shim::{clear_virtual_pid, current_pid, set_virtual_pid, LdPlfs, ShimMount};
+pub use shim::LdPlfs;
 pub use stats::{OpClass, ShimStats};
 pub use stdio::CFile;

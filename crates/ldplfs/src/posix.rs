@@ -13,6 +13,7 @@
 
 pub use plfs::OpenFlags;
 use std::fmt;
+use std::ops::Deref;
 
 /// A POSIX file descriptor.
 pub type Fd = i32;
@@ -72,15 +73,15 @@ impl From<std::io::Error> for Errno {
     }
 }
 
-/// `lseek` origins.
+/// `lseek` origins, numbered as the C constants are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Whence {
     /// `SEEK_SET`
-    Set,
+    Set = 0,
     /// `SEEK_CUR`
-    Cur,
+    Cur = 1,
     /// `SEEK_END`
-    End,
+    End = 2,
 }
 
 /// `stat(2)`-shaped metadata.
@@ -125,73 +126,35 @@ pub trait PosixLayer: Send + Sync {
     /// at the first short read (EOF) — layers with a native vectored path
     /// override this to serve the whole vector in one operation.
     fn readv(&self, fd: Fd, bufs: &mut [&mut [u8]]) -> PosixResult<usize> {
-        let mut total = 0;
-        for buf in bufs.iter_mut() {
-            if buf.is_empty() {
-                continue;
-            }
-            let n = self.read(fd, buf)?;
-            total += n;
-            if n < buf.len() {
-                break;
-            }
-        }
-        Ok(total)
+        each(bufs.iter_mut().map(|b| &mut **b), |b| self.read(fd, b))
     }
 
     /// `writev(2)`: gather `bufs` into one cursor-positioned write. The
     /// default lowers to one [`PosixLayer::write`] per buffer, stopping at
     /// the first short write.
     fn writev(&self, fd: Fd, bufs: &[&[u8]]) -> PosixResult<usize> {
-        let mut total = 0;
-        for buf in bufs {
-            if buf.is_empty() {
-                continue;
-            }
-            let n = self.write(fd, buf)?;
-            total += n;
-            if n < buf.len() {
-                break;
-            }
-        }
-        Ok(total)
+        each(bufs.iter().copied(), |b| self.write(fd, b))
     }
 
     /// `preadv(2)`: positional scatter read; does not move the cursor.
     /// Buffers fill from consecutive file offsets starting at `off`.
     fn preadv(&self, fd: Fd, bufs: &mut [&mut [u8]], off: u64) -> PosixResult<usize> {
-        let mut total = 0;
         let mut pos = off;
-        for buf in bufs.iter_mut() {
-            if buf.is_empty() {
-                continue;
-            }
-            let n = self.pread(fd, buf, pos)?;
-            total += n;
+        each(bufs.iter_mut().map(|b| &mut **b), |b| {
+            let n = self.pread(fd, b, pos)?;
             pos += n as u64;
-            if n < buf.len() {
-                break;
-            }
-        }
-        Ok(total)
+            Ok(n)
+        })
     }
 
     /// `pwritev(2)`: positional gather write; does not move the cursor.
     fn pwritev(&self, fd: Fd, bufs: &[&[u8]], off: u64) -> PosixResult<usize> {
-        let mut total = 0;
         let mut pos = off;
-        for buf in bufs {
-            if buf.is_empty() {
-                continue;
-            }
-            let n = self.pwrite(fd, buf, pos)?;
-            total += n;
+        each(bufs.iter().copied(), |b| {
+            let n = self.pwrite(fd, b, pos)?;
             pos += n as u64;
-            if n < buf.len() {
-                break;
-            }
-        }
-        Ok(total)
+            Ok(n)
+        })
     }
 
     /// `preadv2(2)`: like [`PosixLayer::preadv`], but an offset of `-1`
@@ -199,24 +162,18 @@ pub trait PosixLayer: Send + Sync {
     /// (`RWF_*`) are accepted and ignored, like a file system without
     /// per-call hints.
     fn preadv2(&self, fd: Fd, bufs: &mut [&mut [u8]], off: i64, _flags: u32) -> PosixResult<usize> {
-        if off == -1 {
-            self.readv(fd, bufs)
-        } else if off < 0 {
-            Err(Errno::EINVAL)
-        } else {
-            self.preadv(fd, bufs, off as u64)
+        match v2_offset(off)? {
+            None => self.readv(fd, bufs),
+            Some(off) => self.preadv(fd, bufs, off),
         }
     }
 
     /// `pwritev2(2)`: like [`PosixLayer::pwritev`], with `-1` meaning
     /// `writev` semantics; flags accepted and ignored.
     fn pwritev2(&self, fd: Fd, bufs: &[&[u8]], off: i64, _flags: u32) -> PosixResult<usize> {
-        if off == -1 {
-            self.writev(fd, bufs)
-        } else if off < 0 {
-            Err(Errno::EINVAL)
-        } else {
-            self.pwritev(fd, bufs, off as u64)
+        match v2_offset(off)? {
+            None => self.writev(fd, bufs),
+            Some(off) => self.pwritev(fd, bufs, off),
         }
     }
 
@@ -246,6 +203,32 @@ pub trait PosixLayer: Send + Sync {
     fn ftruncate(&self, fd: Fd, len: u64) -> PosixResult<()>;
     /// Directory listing (`opendir`/`readdir` collapsed into one call).
     fn readdir(&self, path: &str) -> PosixResult<Vec<PosixDirent>>;
+}
+
+/// Move a vector one buffer at a time with `op`, skipping empty buffers and
+/// stopping at the first short transfer, as `readv(2)`/`writev(2)` do.
+pub(crate) fn each<B: Deref<Target = [u8]>>(
+    bufs: impl Iterator<Item = B>,
+    mut op: impl FnMut(&mut B) -> PosixResult<usize>,
+) -> PosixResult<usize> {
+    let mut total = 0;
+    for mut buf in bufs.filter(|b| !b.is_empty()) {
+        let n = op(&mut buf)?;
+        total += n;
+        if n < buf.len() {
+            break;
+        }
+    }
+    Ok(total)
+}
+
+/// The offset rule of `preadv2(2)`/`pwritev2(2)`: `-1` means the cursor
+/// (`None`), any other negative offset is `EINVAL`.
+pub fn v2_offset(off: i64) -> PosixResult<Option<u64>> {
+    match off {
+        -1 => Ok(None),
+        _ => u64::try_from(off).map(Some).map_err(|_| Errno::EINVAL),
+    }
 }
 
 /// Resolve `lseek` arithmetic against a current offset and file size,

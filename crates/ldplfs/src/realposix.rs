@@ -9,19 +9,22 @@
 //! tests and examples operate in a sandbox; paths are then interpreted
 //! relative to that root.
 
-use crate::posix::{Errno, Fd, OpenFlags, PosixDirent, PosixLayer, PosixResult, PosixStat, Whence};
+use crate::posix::{
+    each, Errno, Fd, OpenFlags, PosixDirent, PosixLayer, PosixResult, PosixStat, Whence,
+};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI32, Ordering};
 use std::sync::Arc;
 
 /// Shared open-file-description state: the file plus its cursor semantics.
+/// `O_APPEND` is enforced by the OS file handle itself.
 struct Description {
     file: Mutex<fs::File>,
-    append: bool,
     writable: bool,
     readable: bool,
 }
@@ -75,6 +78,16 @@ impl RealPosix {
         self.fds.read().get(&fd).cloned().ok_or(Errno::EBADF)
     }
 
+    /// `fd`'s description, `EBADF` unless it was opened for writing
+    /// (`write`) or reading.
+    fn desc_for(&self, fd: Fd, write: bool) -> PosixResult<Arc<Description>> {
+        let d = self.desc(fd)?;
+        match if write { d.writable } else { d.readable } {
+            true => Ok(d),
+            false => Err(Errno::EBADF),
+        }
+    }
+
     fn install(&self, d: Arc<Description>) -> Fd {
         // relaxed: fd numbers only need to be unique; the atomic add guarantees that without ordering
         let fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
@@ -119,7 +132,6 @@ impl PosixLayer for RealPosix {
         }
         Ok(self.install(Arc::new(Description {
             file: Mutex::new(file),
-            append: flags.append(),
             writable: flags.writable(),
             readable: flags.readable(),
         })))
@@ -130,135 +142,43 @@ impl PosixLayer for RealPosix {
     }
 
     fn read(&self, fd: Fd, buf: &mut [u8]) -> PosixResult<usize> {
-        let d = self.desc(fd)?;
-        if !d.readable {
-            return Err(Errno::EBADF);
-        }
-        let mut f = d.file.lock();
-        f.read(buf).map_err(Errno::from)
+        let d = self.desc_for(fd, false)?;
+        let r = d.file.lock().read(buf).map_err(Errno::from);
+        r
     }
 
     fn write(&self, fd: Fd, buf: &[u8]) -> PosixResult<usize> {
-        let d = self.desc(fd)?;
-        if !d.writable {
-            return Err(Errno::EBADF);
-        }
-        let mut f = d.file.lock();
-        f.write(buf).map_err(Errno::from)
+        let d = self.desc_for(fd, true)?;
+        let r = d.file.lock().write(buf).map_err(Errno::from);
+        r
     }
 
     fn pread(&self, fd: Fd, buf: &mut [u8], off: u64) -> PosixResult<usize> {
-        let d = self.desc(fd)?;
-        if !d.readable {
-            return Err(Errno::EBADF);
-        }
-        let mut f = d.file.lock();
-        let saved = f.stream_position().map_err(Errno::from)?;
-        f.seek(SeekFrom::Start(off)).map_err(Errno::from)?;
-        let n = f.read(buf).map_err(Errno::from)?;
-        f.seek(SeekFrom::Start(saved)).map_err(Errno::from)?;
-        Ok(n)
+        let d = self.desc_for(fd, false)?;
+        let r = d.file.lock().read_at(buf, off).map_err(Errno::from);
+        r
     }
 
     fn pwrite(&self, fd: Fd, buf: &[u8], off: u64) -> PosixResult<usize> {
-        let d = self.desc(fd)?;
-        if !d.writable {
-            return Err(Errno::EBADF);
-        }
-        let mut f = d.file.lock();
-        let saved = f.stream_position().map_err(Errno::from)?;
-        f.seek(SeekFrom::Start(off)).map_err(Errno::from)?;
-        let n = f.write(buf).map_err(Errno::from)?;
-        f.seek(SeekFrom::Start(saved)).map_err(Errno::from)?;
-        Ok(n)
+        let d = self.desc_for(fd, true)?;
+        let r = d.file.lock().write_at(buf, off).map_err(Errno::from);
+        r
     }
 
+    // One lock acquisition for the whole vector: the scatter is atomic
+    // with respect to other readers/writers of this description.
     fn readv(&self, fd: Fd, bufs: &mut [&mut [u8]]) -> PosixResult<usize> {
-        let d = self.desc(fd)?;
-        if !d.readable {
-            return Err(Errno::EBADF);
-        }
-        // One lock acquisition for the whole vector: the scatter is atomic
-        // with respect to other readers/writers of this description.
+        let d = self.desc_for(fd, false)?;
         let mut f = d.file.lock();
-        let mut total = 0;
-        for buf in bufs.iter_mut() {
-            if buf.is_empty() {
-                continue;
-            }
-            let n = f.read(buf).map_err(Errno::from)?;
-            total += n;
-            if n < buf.len() {
-                break;
-            }
-        }
-        Ok(total)
+        each(bufs.iter_mut().map(|b| &mut **b), |b| {
+            f.read(b).map_err(Errno::from)
+        })
     }
 
     fn writev(&self, fd: Fd, bufs: &[&[u8]]) -> PosixResult<usize> {
-        let d = self.desc(fd)?;
-        if !d.writable {
-            return Err(Errno::EBADF);
-        }
+        let d = self.desc_for(fd, true)?;
         let mut f = d.file.lock();
-        let mut total = 0;
-        for buf in bufs {
-            if buf.is_empty() {
-                continue;
-            }
-            let n = f.write(buf).map_err(Errno::from)?;
-            total += n;
-            if n < buf.len() {
-                break;
-            }
-        }
-        Ok(total)
-    }
-
-    fn preadv(&self, fd: Fd, bufs: &mut [&mut [u8]], off: u64) -> PosixResult<usize> {
-        let d = self.desc(fd)?;
-        if !d.readable {
-            return Err(Errno::EBADF);
-        }
-        let mut f = d.file.lock();
-        let saved = f.stream_position().map_err(Errno::from)?;
-        f.seek(SeekFrom::Start(off)).map_err(Errno::from)?;
-        let mut total = 0;
-        for buf in bufs.iter_mut() {
-            if buf.is_empty() {
-                continue;
-            }
-            let n = f.read(buf).map_err(Errno::from)?;
-            total += n;
-            if n < buf.len() {
-                break;
-            }
-        }
-        f.seek(SeekFrom::Start(saved)).map_err(Errno::from)?;
-        Ok(total)
-    }
-
-    fn pwritev(&self, fd: Fd, bufs: &[&[u8]], off: u64) -> PosixResult<usize> {
-        let d = self.desc(fd)?;
-        if !d.writable {
-            return Err(Errno::EBADF);
-        }
-        let mut f = d.file.lock();
-        let saved = f.stream_position().map_err(Errno::from)?;
-        f.seek(SeekFrom::Start(off)).map_err(Errno::from)?;
-        let mut total = 0;
-        for buf in bufs {
-            if buf.is_empty() {
-                continue;
-            }
-            let n = f.write(buf).map_err(Errno::from)?;
-            total += n;
-            if n < buf.len() {
-                break;
-            }
-        }
-        f.seek(SeekFrom::Start(saved)).map_err(Errno::from)?;
-        Ok(total)
+        each(bufs.iter().copied(), |b| f.write(b).map_err(Errno::from))
     }
 
     fn lseek(&self, fd: Fd, offset: i64, whence: Whence) -> PosixResult<u64> {
@@ -339,10 +259,7 @@ impl PosixLayer for RealPosix {
     }
 
     fn ftruncate(&self, fd: Fd, len: u64) -> PosixResult<()> {
-        let d = self.desc(fd)?;
-        if !d.writable {
-            return Err(Errno::EBADF);
-        }
+        let d = self.desc_for(fd, true)?;
         let r = d.file.lock().set_len(len).map_err(Errno::from);
         r
     }
@@ -359,15 +276,6 @@ impl PosixLayer for RealPosix {
         }
         out.sort_by(|a, b| a.name.cmp(&b.name));
         Ok(out)
-    }
-}
-
-// Suppress an unused-field warning: `append` is configured at open and
-// enforced by the OS file handle itself (OpenOptions::append).
-impl Description {
-    #[allow(dead_code)]
-    fn is_append(&self) -> bool {
-        self.append
     }
 }
 

@@ -6,105 +6,94 @@
 //! written against `PosixLayer` cannot tell the difference — that is the
 //! paper's whole point.
 //!
-//! The two bookkeeping duties from §III.A are implemented faithfully:
-//!
-//! * **fd synthesis** — each PLFS open also opens a throwaway *scratch file*
-//!   on the underlying layer (the paper uses `/dev/random`), whose genuine
-//!   descriptor is handed to the application and keyed into a lookup table.
-//! * **cursor maintenance** — the PLFS API is positional, POSIX is
-//!   cursor-based. The cursor is kept in the scratch descriptor itself via
-//!   `lseek`: before each op the shim reads it with `lseek(fd, 0, SEEK_CUR)`,
-//!   and after the op it advances it with `lseek(fd, new, SEEK_SET)`. Because
-//!   `dup(2)` shares the open file description, dup'd descriptors share the
-//!   PLFS cursor for free, exactly like real files.
+//! The bookkeeping — the table of PLFS opens and the cursor kept in each
+//! one's reserved descriptor — is the shim core in [`crate::fdtable`], the
+//! same code the `LD_PRELOAD` library runs. This front end reserves each
+//! descriptor by opening a throwaway *scratch file* on the underlying layer
+//! (the paper uses `/dev/random`), counts every call as intercepted or
+//! passed through ([`ShimStats`]), and records shim-layer trace spans.
 
+pub use crate::fdtable::{clear_virtual_pid, current_pid, set_virtual_pid, ShimMount};
+use crate::fdtable::{Entry, Reserve, ShimCore};
 use crate::posix::{Errno, Fd, OpenFlags, PosixDirent, PosixLayer, PosixResult, PosixStat, Whence};
 use crate::stats::{OpClass, ShimStats};
 use iotrace::{Layer, OpEvent, OpKind};
-use parking_lot::RwLock;
-use plfs::mount::path_has_prefix;
-use plfs::{Plfs, PlfsFd};
-use std::cell::Cell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-thread_local! {
-    static VIRTUAL_PID: Cell<Option<u64>> = const { Cell::new(None) };
+/// Reserves descriptors as scratch files on the underlying layer.
+struct Scratch {
+    under: Arc<dyn PosixLayer>,
+    dir: String,
+    seq: AtomicU64,
 }
 
-/// Override the pid this thread presents to PLFS (real LDPLFS uses
-/// `getpid()`; simulated ranks on threads each set their own).
-pub fn set_virtual_pid(pid: u64) {
-    VIRTUAL_PID.with(|c| c.set(Some(pid)));
+/// A scratch file, unlinked when the last descriptor sharing its open
+/// closes.
+struct ScratchFile {
+    under: Arc<dyn PosixLayer>,
+    path: String,
 }
 
-/// Clear the thread's pid override.
-pub fn clear_virtual_pid() {
-    VIRTUAL_PID.with(|c| c.set(None));
+impl Drop for ScratchFile {
+    fn drop(&mut self) {
+        let _ = self.under.unlink(&self.path);
+    }
 }
 
-/// The pid PLFS operations run under for this thread.
-pub fn current_pid() -> u64 {
-    VIRTUAL_PID
-        .with(|c| c.get())
-        .unwrap_or(std::process::id() as u64)
-}
+impl Reserve for Scratch {
+    type Extra = ScratchFile;
 
-/// One configured mount.
-pub struct ShimMount {
-    /// Logical mount-point prefix.
-    pub mount_point: String,
-    /// The PLFS file system serving it.
-    pub plfs: Plfs,
-}
+    fn reserve(&self, _logical: &str, _flags: OpenFlags) -> PosixResult<(Fd, ScratchFile)> {
+        let path = format!(
+            "{}/fd.{}.{}",
+            self.dir,
+            current_pid(),
+            // relaxed: unique scratch-name suffix; only atomicity of the add matters
+            self.seq.fetch_add(1, Ordering::Relaxed)
+        );
+        let fd = self
+            .under
+            .open(&path, OpenFlags::RDWR | OpenFlags::CREAT, 0o600)?;
+        let under = Arc::clone(&self.under);
+        Ok((fd, ScratchFile { under, path }))
+    }
 
-/// Shared state of one PLFS open (shared between dup'd descriptors).
-struct OpenState {
-    mount: usize,
-    plfs_fd: Arc<PlfsFd>,
-    /// Mount-relative logical path (for ftruncate-by-path).
-    logical: String,
-    scratch_path: String,
-    append: bool,
-    /// Live descriptors sharing this state; last close unlinks the scratch.
-    fds: AtomicU32,
-}
-
-/// One shim descriptor: the reserved underlying fd plus the shared state.
-struct Entry {
-    under_fd: Fd,
-    state: Arc<OpenState>,
-    pid: u64,
+    fn seek(&self, fd: Fd, offset: i64, whence: Whence) -> PosixResult<u64> {
+        self.under.lseek(fd, offset, whence)
+    }
 }
 
 /// The interposing POSIX layer (the `libldplfs` analogue).
 pub struct LdPlfs {
     under: Arc<dyn PosixLayer>,
-    mounts: Vec<ShimMount>,
-    table: RwLock<HashMap<Fd, Entry>>,
+    core: ShimCore<Scratch>,
     stats: Arc<ShimStats>,
-    scratch_dir: String,
-    scratch_seq: AtomicU64,
+}
+
+fn bytes(r: &PosixResult<usize>) -> u64 {
+    *r.as_ref().unwrap_or(&0) as u64
 }
 
 impl LdPlfs {
     /// Build a shim over `under` with the given mounts. Creates the scratch
     /// directory used for fd reservation.
     pub fn new(under: Arc<dyn PosixLayer>, mounts: Vec<ShimMount>) -> PosixResult<LdPlfs> {
-        let scratch_dir = "/.ldplfs_scratch".to_string();
-        match under.mkdir(&scratch_dir, 0o700) {
-            Ok(()) | Err(Errno(17)) => {}
+        let dir = "/.ldplfs_scratch".to_string();
+        match under.mkdir(&dir, 0o700) {
+            Ok(()) | Err(Errno::EEXIST) => {}
             Err(e) => return Err(e),
         }
+        let scratch = Scratch {
+            under: Arc::clone(&under),
+            dir,
+            seq: AtomicU64::new(0),
+        };
         Ok(LdPlfs {
             under,
-            mounts,
-            table: RwLock::new(HashMap::new()),
+            core: ShimCore::new(mounts, scratch),
             stats: Arc::new(ShimStats::default()),
-            scratch_dir,
-            scratch_seq: AtomicU64::new(0),
         })
     }
 
@@ -120,635 +109,264 @@ impl LdPlfs {
 
     /// The configured mounts.
     pub fn mounts(&self) -> &[ShimMount] {
-        &self.mounts
+        self.core.mounts()
     }
 
-    /// Which mount (if any) serves `path`; returns `(mount index,
-    /// mount-relative logical path)`. Longest prefix wins.
-    fn match_mount(&self, path: &str) -> Option<(usize, String)> {
-        let mut best: Option<(usize, &str)> = None;
-        for (i, m) in self.mounts.iter().enumerate() {
-            if path_has_prefix(path, &m.mount_point)
-                && best.is_none_or(|(b, _)| m.mount_point.len() > self.mounts[b].mount_point.len())
-            {
-                best = Some((i, &m.mount_point));
-            }
-        }
-        best.map(|(i, mp)| {
-            let rel = &path[mp.len()..];
-            let rel = if rel.is_empty() { "/" } else { rel };
-            (i, rel.to_string())
-        })
-    }
-
-    fn entry_state(&self, fd: Fd) -> Option<(Arc<OpenState>, u64)> {
-        let table = self.table.read();
-        table.get(&fd).map(|e| (e.state.clone(), e.pid))
-    }
-
-    /// Count `op` as intercepted (`hit = true`) or forwarded, and — when
-    /// tracing was on at span start — close the span with the event built
-    /// by `ev`, stamped with the hit flag and the span's latency. Called
-    /// after the operation on both paths, so hit AND miss latencies land in
-    /// the shim-layer histograms.
-    fn track<'a>(
+    /// Finish one call: `hit` is the core's result when the call was
+    /// intercepted, otherwise `pass` forwards it. The call is counted and —
+    /// when tracing was on at span start — its span closed with the event
+    /// `ev` builds, stamped with the hit flag and the span's latency, so hit
+    /// AND miss latencies land in the shim-layer histograms.
+    fn done<'a, T>(
         &self,
         op: OpClass,
-        hit: bool,
         t0: Option<Instant>,
-        ev: impl FnOnce() -> OpEvent<'a>,
-    ) {
-        if hit {
+        hit: Option<PosixResult<T>>,
+        pass: impl FnOnce() -> PosixResult<T>,
+        ev: impl FnOnce(&PosixResult<T>) -> OpEvent<'a>,
+    ) -> PosixResult<T> {
+        let intercepted = hit.is_some();
+        let r = hit.unwrap_or_else(pass);
+        if intercepted {
             self.stats.hit(op);
         } else {
             self.stats.miss(op);
         }
         if let Some(t0) = t0 {
-            iotrace::global().record(t0, ev().hit(hit));
+            iotrace::global().record(t0, ev(&r).hit(intercepted));
         }
+        r
     }
 
-    /// Read the PLFS cursor from the reserved descriptor
-    /// (`lseek(fd, 0, SEEK_CUR)`, as in the paper).
-    fn cursor(&self, fd: Fd) -> PosixResult<u64> {
-        self.under.lseek(fd, 0, Whence::Cur)
+    /// A metadata call on `fd`: through the core (`hit`) on a PLFS fd,
+    /// else on the underlying layer (`pass`); traced as `kind` with the fd.
+    fn fd_meta<T>(
+        &self,
+        kind: OpKind,
+        fd: Fd,
+        hit: impl FnOnce(&Entry<ScratchFile>) -> PosixResult<T>,
+        pass: impl FnOnce() -> PosixResult<T>,
+    ) -> PosixResult<T> {
+        let t0 = iotrace::global().start();
+        let hit = self.core.entry(fd).map(|e| hit(&e));
+        self.done(OpClass::Meta, t0, hit, pass, |_| {
+            OpEvent::new(Layer::Shim, kind).fd(fd as i64)
+        })
     }
 
-    /// Store the PLFS cursor back into the reserved descriptor.
-    fn set_cursor(&self, fd: Fd, off: u64) -> PosixResult<()> {
-        if off > i64::MAX as u64 {
-            return Err(Errno::EINVAL);
-        }
-        self.under.lseek(fd, off as i64, Whence::Set)?;
-        Ok(())
+    /// A data call on `fd` of trace kind `kind`: through the core (`hit`)
+    /// on a PLFS fd, else on the underlying layer (`pass`); `buf` goes to
+    /// whichever runs. Its event carries the byte count, and the offset `at`
+    /// of a positional call.
+    fn data<B>(
+        &self,
+        kind: OpKind,
+        fd: Fd,
+        at: Option<u64>,
+        buf: B,
+        hit: impl FnOnce(&Entry<ScratchFile>, B) -> PosixResult<usize>,
+        pass: impl FnOnce(B) -> PosixResult<usize>,
+    ) -> PosixResult<usize> {
+        let t0 = iotrace::global().start();
+        let op = match kind {
+            OpKind::Read | OpKind::ListRead => OpClass::Read,
+            _ => OpClass::Write,
+        };
+        let (hit, buf) = match self.core.entry(fd) {
+            Some(e) => (Some(hit(&e, buf)), None),
+            None => (None, Some(buf)),
+        };
+        let pass = || buf.map_or(Err(Errno::EBADF), pass);
+        self.done(op, t0, hit, pass, |r| {
+            let ev = OpEvent::new(Layer::Shim, kind).fd(fd as i64);
+            at.map_or(ev, |off| ev.offset(off)).bytes(bytes(r))
+        })
     }
 
-    fn open_plfs(&self, mount: usize, logical: &str, flags: OpenFlags) -> PosixResult<Fd> {
-        let pid = current_pid();
-        let plfs_fd = self.mounts[mount].plfs.open(logical, flags, pid)?;
-        // Reserve a genuine descriptor by opening a scratch file.
-        let scratch_path = format!(
-            "{}/fd.{}.{}",
-            self.scratch_dir,
-            pid,
-            // relaxed: unique scratch-name suffix; only atomicity of the add matters
-            self.scratch_seq.fetch_add(1, Ordering::Relaxed)
-        );
-        let under_fd =
-            match self
-                .under
-                .open(&scratch_path, OpenFlags::RDWR | OpenFlags::CREAT, 0o600)
-            {
-                Ok(fd) => fd,
-                Err(e) => {
-                    let _ = plfs_fd.close(pid);
-                    return Err(e);
-                }
-            };
-        let state = Arc::new(OpenState {
-            mount,
-            plfs_fd,
-            logical: logical.to_string(),
-            scratch_path,
-            append: flags.append(),
-            fds: AtomicU32::new(1),
-        });
-        self.table.write().insert(
-            under_fd,
-            Entry {
-                under_fd,
-                state,
-                pid,
-            },
-        );
-        Ok(under_fd)
+    fn path_meta<T>(
+        &self,
+        path: &str,
+        plfs: impl FnOnce(crate::fdtable::At) -> PosixResult<T>,
+        pass: impl FnOnce() -> PosixResult<T>,
+    ) -> PosixResult<T> {
+        let t0 = iotrace::global().start();
+        let hit = self.core.route(path).map(plfs);
+        self.done(OpClass::Meta, t0, hit, pass, |_| {
+            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
+        })
     }
 }
 
 impl PosixLayer for LdPlfs {
     fn open(&self, path: &str, flags: OpenFlags, mode: u32) -> PosixResult<Fd> {
         let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => (self.open_plfs(m, &rel, flags), true),
-            None => (self.under.open(path, flags, mode), false),
-        };
-        self.track(OpClass::Open, hit, t0, || {
+        let hit = self.core.route(path).map(|at| self.core.open(at, flags));
+        let pass = || self.under.open(path, flags, mode);
+        self.done(OpClass::Open, t0, hit, pass, |r| {
             OpEvent::new(Layer::Shim, OpKind::Open)
                 .path(path)
                 .fd(*r.as_ref().unwrap_or(&-1) as i64)
-        });
-        r
+        })
     }
 
     fn close(&self, fd: Fd) -> PosixResult<()> {
         let t0 = iotrace::global().start();
-        let entry = self.table.write().remove(&fd);
-        let (r, hit) = match entry {
-            Some(e) => {
-                // Release both halves unconditionally: a PLFS-side close
-                // error must not leak the reserved descriptor or the scratch
-                // file (and vice versa). The first error is reported.
-                let plfs_res: PosixResult<()> = e
-                    .state
-                    .plfs_fd
-                    .close(e.pid)
-                    .map(|_| ())
-                    .map_err(Errno::from);
-                let under_res = self.under.close(e.under_fd);
-                if e.state.fds.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let _ = self.under.unlink(&e.state.scratch_path);
-                }
-                (plfs_res.and(under_res), true)
-            }
-            None => (self.under.close(fd), false),
-        };
-        self.track(OpClass::Close, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Close).fd(fd as i64)
+        // Release both halves unconditionally: a PLFS-side close error must
+        // not leak the reserved descriptor or the scratch file (and vice
+        // versa). The first error is reported.
+        let hit = self.core.forget(fd).map(|r| {
+            let under = self.under.close(fd);
+            r.and(under)
         });
-        r
+        let pass = || self.under.close(fd);
+        self.done(OpClass::Close, t0, hit, pass, |_| {
+            OpEvent::new(Layer::Shim, OpKind::Close).fd(fd as i64)
+        })
     }
 
     fn read(&self, fd: Fd, buf: &mut [u8]) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _pid)) => {
-                let r = (|| {
-                    let off = self.cursor(fd)?;
-                    let n = st.plfs_fd.read(buf, off)?;
-                    self.set_cursor(fd, off + n as u64)?;
-                    Ok(n)
-                })();
-                (r, true)
-            }
-            None => (self.under.read(fd, buf), false),
-        };
-        self.track(OpClass::Read, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Read)
-                .fd(fd as i64)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
+        let hit = |e: &_, b| self.core.read(fd, e, b, None);
+        self.data(OpKind::Read, fd, None, buf, hit, |b| self.under.read(fd, b))
     }
 
     fn write(&self, fd: Fd, buf: &[u8]) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _open_pid)) => {
-                let r = (|| {
-                    let pid = current_pid();
-                    let (off, n) = if st.append {
-                        // O_APPEND: EOF resolution and the write happen
-                        // atomically inside PLFS, so concurrent appenders
-                        // cannot clobber each other (plain size()-then-write
-                        // raced between the two steps).
-                        st.plfs_fd.append(buf, pid)?
-                    } else {
-                        let off = self.cursor(fd)?;
-                        let n = st.plfs_fd.write(buf, off, pid)?;
-                        (off, n)
-                    };
-                    self.set_cursor(fd, off + n as u64)?;
-                    Ok(n)
-                })();
-                (r, true)
-            }
-            None => (self.under.write(fd, buf), false),
-        };
-        self.track(OpClass::Write, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Write)
-                .fd(fd as i64)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
+        let hit = |e: &_, b| self.core.write(fd, e, b, None);
+        self.data(OpKind::Write, fd, None, buf, hit, |b| {
+            self.under.write(fd, b)
+        })
     }
 
     fn pread(&self, fd: Fd, buf: &mut [u8], off: u64) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _)) => (st.plfs_fd.read(buf, off).map_err(Errno::from), true),
-            None => (self.under.pread(fd, buf, off), false),
-        };
-        self.track(OpClass::Read, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Read)
-                .fd(fd as i64)
-                .offset(off)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
+        let hit = |e: &_, b| self.core.read(fd, e, b, Some(off));
+        let pass = |b| self.under.pread(fd, b, off);
+        self.data(OpKind::Read, fd, Some(off), buf, hit, pass)
     }
 
     fn pwrite(&self, fd: Fd, buf: &[u8], off: u64) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _open_pid)) => {
-                let pid = current_pid();
-                (st.plfs_fd.write(buf, off, pid).map_err(Errno::from), true)
-            }
-            None => (self.under.pwrite(fd, buf, off), false),
-        };
-        self.track(OpClass::Write, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Write)
-                .fd(fd as i64)
-                .offset(off)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
+        let hit = |e: &_, b| self.core.write(fd, e, b, Some(off));
+        let pass = |b| self.under.pwrite(fd, b, off);
+        self.data(OpKind::Write, fd, Some(off), buf, hit, pass)
     }
 
     fn readv(&self, fd: Fd, bufs: &mut [&mut [u8]]) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _)) => {
-                let r = (|| {
-                    let total: usize = bufs.iter().map(|b| b.len()).sum();
-                    if total == 0 {
-                        return Ok(0);
-                    }
-                    // readv is contiguous in the file: one list read covers
-                    // the whole vector (one index query), then the bytes are
-                    // scattered over the caller's buffers.
-                    let off = self.cursor(fd)?;
-                    let mut gather = vec![0u8; total];
-                    let n = st.plfs_fd.read_list(&mut gather, &[(off, total as u64)])?;
-                    let mut pos = 0;
-                    for buf in bufs.iter_mut() {
-                        if pos >= n {
-                            break;
-                        }
-                        let take = buf.len().min(n - pos);
-                        buf[..take].copy_from_slice(&gather[pos..pos + take]);
-                        pos += take;
-                    }
-                    self.set_cursor(fd, off + n as u64)?;
-                    Ok(n)
-                })();
-                (r, true)
-            }
-            None => (self.under.readv(fd, bufs), false),
-        };
-        self.track(OpClass::Read, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::ListRead)
-                .fd(fd as i64)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
+        let hit = |e: &_, b: &mut [&mut [u8]]| self.core.readv(fd, e, b, None);
+        self.data(OpKind::ListRead, fd, None, bufs, hit, |b| {
+            self.under.readv(fd, b)
+        })
     }
 
     fn writev(&self, fd: Fd, bufs: &[&[u8]]) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _open_pid)) => {
-                let r = (|| {
-                    let total: usize = bufs.iter().map(|b| b.len()).sum();
-                    if total == 0 {
-                        return Ok(0);
-                    }
-                    let pid = current_pid();
-                    // Gather the iovecs into one contiguous extent so the
-                    // whole vector costs a single PLFS index record instead
-                    // of one per buffer.
-                    let mut gather = Vec::with_capacity(total);
-                    for buf in bufs {
-                        gather.extend_from_slice(buf);
-                    }
-                    let (off, n) = if st.append {
-                        st.plfs_fd.append(&gather, pid)?
-                    } else {
-                        let off = self.cursor(fd)?;
-                        let n = st
-                            .plfs_fd
-                            .write_list(&gather, &[(off, total as u64)], pid)?;
-                        (off, n)
-                    };
-                    self.set_cursor(fd, off + n as u64)?;
-                    Ok(n)
-                })();
-                (r, true)
-            }
-            None => (self.under.writev(fd, bufs), false),
-        };
-        self.track(OpClass::Write, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::ListWrite)
-                .fd(fd as i64)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
+        let hit = |e: &_, b: &[&[u8]]| self.core.writev(fd, e, b, None);
+        self.data(OpKind::ListWrite, fd, None, bufs, hit, |b| {
+            self.under.writev(fd, b)
+        })
     }
 
     fn preadv(&self, fd: Fd, bufs: &mut [&mut [u8]], off: u64) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _)) => {
-                let r = (|| {
-                    let total: usize = bufs.iter().map(|b| b.len()).sum();
-                    if total == 0 {
-                        return Ok(0);
-                    }
-                    let mut gather = vec![0u8; total];
-                    let n = st.plfs_fd.read_list(&mut gather, &[(off, total as u64)])?;
-                    let mut pos = 0;
-                    for buf in bufs.iter_mut() {
-                        if pos >= n {
-                            break;
-                        }
-                        let take = buf.len().min(n - pos);
-                        buf[..take].copy_from_slice(&gather[pos..pos + take]);
-                        pos += take;
-                    }
-                    Ok(n)
-                })();
-                (r, true)
-            }
-            None => (self.under.preadv(fd, bufs, off), false),
-        };
-        self.track(OpClass::Read, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::ListRead)
-                .fd(fd as i64)
-                .offset(off)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
+        let hit = |e: &_, b: &mut [&mut [u8]]| self.core.readv(fd, e, b, Some(off));
+        let pass = |b| self.under.preadv(fd, b, off);
+        self.data(OpKind::ListRead, fd, Some(off), bufs, hit, pass)
     }
 
     fn pwritev(&self, fd: Fd, bufs: &[&[u8]], off: u64) -> PosixResult<usize> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _open_pid)) => {
-                let r = (|| {
-                    let total: usize = bufs.iter().map(|b| b.len()).sum();
-                    if total == 0 {
-                        return Ok(0);
-                    }
-                    let pid = current_pid();
-                    let mut gather = Vec::with_capacity(total);
-                    for buf in bufs {
-                        gather.extend_from_slice(buf);
-                    }
-                    Ok(st
-                        .plfs_fd
-                        .write_list(&gather, &[(off, total as u64)], pid)?)
-                })();
-                (r, true)
-            }
-            None => (self.under.pwritev(fd, bufs, off), false),
-        };
-        self.track(OpClass::Write, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::ListWrite)
-                .fd(fd as i64)
-                .offset(off)
-                .bytes(*r.as_ref().unwrap_or(&0) as u64)
-        });
-        r
+        let hit = |e: &_, b: &[&[u8]]| self.core.writev(fd, e, b, Some(off));
+        let pass = |b| self.under.pwritev(fd, b, off);
+        self.data(OpKind::ListWrite, fd, Some(off), bufs, hit, pass)
     }
 
     fn lseek(&self, fd: Fd, offset: i64, whence: Whence) -> PosixResult<u64> {
         let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _)) => {
-                let r = (|| {
-                    // SEEK_END must use the *logical* PLFS size, not the
-                    // scratch file's (which is empty); resolve here, then
-                    // store.
-                    let cur = self.cursor(fd)?;
-                    let size = st.plfs_fd.size()?;
-                    let target = crate::posix::seek_target(cur, size, offset, whence)?;
-                    self.set_cursor(fd, target)?;
-                    Ok(target)
-                })();
-                (r, true)
-            }
-            None => (self.under.lseek(fd, offset, whence), false),
-        };
-        self.track(OpClass::Seek, hit, t0, || {
+        let hit = self
+            .core
+            .entry(fd)
+            .map(|e| self.core.lseek(fd, &e, offset, whence));
+        let pass = || self.under.lseek(fd, offset, whence);
+        self.done(OpClass::Seek, t0, hit, pass, |r| {
             OpEvent::new(Layer::Shim, OpKind::Seek)
                 .fd(fd as i64)
                 .offset(*r.as_ref().unwrap_or(&0))
-        });
-        r
+        })
     }
 
     fn fsync(&self, fd: Fd) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _open_pid)) => {
-                let pid = current_pid();
-                (st.plfs_fd.sync(pid).map_err(Errno::from), true)
-            }
-            None => (self.under.fsync(fd), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Sync).fd(fd as i64)
-        });
-        r
+        let pass = || self.under.fsync(fd);
+        self.fd_meta(OpKind::Sync, fd, |e| self.core.fsync(e), pass)
     }
 
     fn dup(&self, fd: Fd) -> PosixResult<Fd> {
-        let t0 = iotrace::global().start();
-        let entry = {
-            let table = self.table.read();
-            table.get(&fd).map(|e| (e.state.clone(), e.pid))
-        };
-        let (r, hit) = match entry {
-            Some((state, pid)) => {
-                // dup the reserved descriptor: the new fd shares the cursor.
-                let r = self.under.dup(fd).inspect(|&new_under| {
-                    state.plfs_fd.add_ref(pid);
-                    state.fds.fetch_add(1, Ordering::AcqRel);
-                    self.table.write().insert(
-                        new_under,
-                        Entry {
-                            under_fd: new_under,
-                            state,
-                            pid,
-                        },
-                    );
-                });
-                (r, true)
-            }
-            None => (self.under.dup(fd), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).fd(fd as i64)
-        });
-        r
+        // dup the reserved descriptor: the new fd shares the cursor.
+        let hit = |_: &_| self.under.dup(fd).inspect(|&new| self.core.dup(fd, new));
+        self.fd_meta(OpKind::Meta, fd, hit, || self.under.dup(fd))
     }
 
     fn stat(&self, path: &str) -> PosixResult<PosixStat> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => {
-                let r = self.mounts[m]
-                    .plfs
-                    .getattr(&rel)
-                    .map_err(Errno::from)
-                    .map(|st| PosixStat {
-                        size: st.size,
-                        is_dir: st.is_dir,
-                    });
-                (r, true)
-            }
-            None => (self.under.stat(path), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
-        });
-        r
+        self.path_meta(path, |at| self.core.stat(at), || self.under.stat(path))
     }
 
     fn fstat(&self, fd: Fd) -> PosixResult<PosixStat> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _)) => {
-                let r = st
-                    .plfs_fd
-                    .size()
-                    .map_err(Errno::from)
-                    .map(|size| PosixStat {
-                        size,
-                        is_dir: false,
-                    });
-                (r, true)
-            }
-            None => (self.under.fstat(fd), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).fd(fd as i64)
-        });
-        r
+        let pass = || self.under.fstat(fd);
+        self.fd_meta(OpKind::Meta, fd, |e| self.core.fstat(e), pass)
     }
 
     fn unlink(&self, path: &str) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => (self.mounts[m].plfs.unlink(&rel).map_err(Errno::from), true),
-            None => (self.under.unlink(path), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
-        });
-        r
+        self.path_meta(path, |at| self.core.unlink(at), || self.under.unlink(path))
     }
 
     fn mkdir(&self, path: &str, mode: u32) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => (self.mounts[m].plfs.mkdir(&rel).map_err(Errno::from), true),
-            None => (self.under.mkdir(path, mode), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
-        });
-        r
+        let pass = || self.under.mkdir(path, mode);
+        self.path_meta(path, |at| self.core.mkdir(at), pass)
     }
 
     fn rmdir(&self, path: &str) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => (self.mounts[m].plfs.rmdir(&rel).map_err(Errno::from), true),
-            None => (self.under.rmdir(path), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
-        });
-        r
+        self.path_meta(path, |at| self.core.rmdir(at), || self.under.rmdir(path))
     }
 
     fn rename(&self, from: &str, to: &str) -> PosixResult<()> {
         let t0 = iotrace::global().start();
-        let (r, hit) = match (self.match_mount(from), self.match_mount(to)) {
-            (Some((mf, rf)), Some((mt, rt))) => {
-                let r = if mf != mt {
-                    Err(Errno::EXDEV)
-                } else {
-                    self.mounts[mf].plfs.rename(&rf, &rt).map_err(Errno::from)
-                };
-                (r, true)
-            }
-            (None, None) => (self.under.rename(from, to), false),
+        let hit = match (self.core.route(from), self.core.route(to)) {
+            (Some(f), Some(t)) => Some(self.core.rename(f, t)),
+            (None, None) => None,
             // Crossing the mount boundary is a different "device".
-            _ => (Err(Errno::EXDEV), true),
+            _ => Some(Err(Errno::EXDEV)),
         };
-        self.track(OpClass::Meta, hit, t0, || {
+        let pass = || self.under.rename(from, to);
+        self.done(OpClass::Meta, t0, hit, pass, |_| {
             OpEvent::new(Layer::Shim, OpKind::Meta).path(from)
-        });
-        r
+        })
     }
 
     fn access(&self, path: &str) -> PosixResult<()> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => (self.mounts[m].plfs.access(&rel).map_err(Errno::from), true),
-            None => (self.under.access(path), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
-        });
-        r
+        self.path_meta(path, |at| self.core.access(at), || self.under.access(path))
     }
 
     fn truncate(&self, path: &str, len: u64) -> PosixResult<()> {
         let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => (
-                self.mounts[m].plfs.trunc(&rel, len).map_err(Errno::from),
-                true,
-            ),
-            None => (self.under.truncate(path, len), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
+        let hit = self.core.route(path).map(|at| self.core.truncate(at, len));
+        let pass = || self.under.truncate(path, len);
+        self.done(OpClass::Meta, t0, hit, pass, |_| {
             OpEvent::new(Layer::Shim, OpKind::Trunc)
                 .path(path)
                 .bytes(len)
-        });
-        r
+        })
     }
 
     fn ftruncate(&self, fd: Fd, len: u64) -> PosixResult<()> {
         let t0 = iotrace::global().start();
-        let (r, hit) = match self.entry_state(fd) {
-            Some((st, _)) => {
-                let r = (|| {
-                    // Quiesce this process's writers before rewriting
-                    // droppings.
-                    st.plfs_fd.reset_writers()?;
-                    Ok(self.mounts[st.mount].plfs.trunc(&st.logical, len)?)
-                })();
-                (r, true)
-            }
-            None => (self.under.ftruncate(fd, len), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
+        let hit = self.core.entry(fd).map(|e| self.core.ftruncate(&e, len));
+        let pass = || self.under.ftruncate(fd, len);
+        self.done(OpClass::Meta, t0, hit, pass, |_| {
             OpEvent::new(Layer::Shim, OpKind::Trunc)
                 .fd(fd as i64)
                 .bytes(len)
-        });
-        r
+        })
     }
 
     fn readdir(&self, path: &str) -> PosixResult<Vec<PosixDirent>> {
-        let t0 = iotrace::global().start();
-        let (r, hit) = match self.match_mount(path) {
-            Some((m, rel)) => {
-                let r = self.mounts[m]
-                    .plfs
-                    .readdir(&rel)
-                    .map_err(Errno::from)
-                    .map(|ents| {
-                        ents.into_iter()
-                            .map(|d| PosixDirent {
-                                name: d.name,
-                                is_dir: d.is_dir,
-                            })
-                            .collect()
-                    });
-                (r, true)
-            }
-            None => (self.under.readdir(path), false),
-        };
-        self.track(OpClass::Meta, hit, t0, || {
-            OpEvent::new(Layer::Shim, OpKind::Meta).path(path)
-        });
-        r
+        self.path_meta(
+            path,
+            |at| self.core.readdir(at),
+            || self.under.readdir(path),
+        )
     }
 }
 

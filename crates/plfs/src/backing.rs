@@ -636,8 +636,15 @@ impl Backing for MemBacking {
 mod tests {
     use super::*;
 
+    /// One backing of each kind. Every call gets its own real directory:
+    /// tests run in parallel, and a shared one was removed and recreated
+    /// under its neighbours' feet.
     fn backings() -> Vec<(&'static str, Box<dyn Backing>)> {
-        let dir = std::env::temp_dir().join(format!("plfs-backing-test-{}", std::process::id()));
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        // relaxed: only the uniqueness of each directory name matters
+        let n = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("plfs-backing-test-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         vec![
             ("mem", Box::new(MemBacking::new()) as Box<dyn Backing>),

@@ -54,10 +54,42 @@ impl MountSpec {
             index_buffer_entries: DEFAULT_INDEX_BUFFER_ENTRIES,
         }
     }
+
+    /// Set one per-mount key from its `plfsrc` value text. Keys the real
+    /// plfsrc has but this one does not use are accepted and ignored.
+    pub fn set(&mut self, key: &str, value: &str) -> std::result::Result<(), &'static str> {
+        match key {
+            "backends" => {
+                self.backends = value
+                    .split(',')
+                    .map(|s| s.trim().to_string())
+                    .filter(|s| !s.is_empty())
+                    .collect();
+            }
+            // Checked: `as u32` would truncate 2^32+1 to a silently-accepted 1.
+            "num_hostdirs" => {
+                self.params.num_hostdirs = u32::try_from(parse_num(value)?)
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or("num_hostdirs out of range")?;
+            }
+            "index_buffer_entries" => self.index_buffer_entries = parse_num(value)? as usize,
+            "workload" | "mode" => {
+                self.params.mode = match value {
+                    "shared_file" | "n-1" | "both" => LayoutMode::Both,
+                    "file_per_proc" | "n-n" | "partitioned" => LayoutMode::PartitionedOnly,
+                    "log" => LayoutMode::LogStructured,
+                    _ => return Err("unknown workload mode"),
+                };
+            }
+            _ => {}
+        }
+        Ok(())
+    }
 }
 
 /// Parsed `plfsrc` contents.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PlfsRc {
     /// All configured mounts, in file order.
     pub mounts: Vec<MountSpec>,
@@ -121,11 +153,10 @@ pub struct PlfsRc {
     pub data_cache_shards: usize,
 }
 
-impl PlfsRc {
-    /// Parse the line-oriented `plfsrc` format. Unknown keys are ignored
-    /// (like the C parser); malformed values are errors.
-    pub fn parse(text: &str) -> Result<PlfsRc> {
-        let mut rc = PlfsRc {
+impl Default for PlfsRc {
+    /// The values a `plfsrc` that sets no global key gets.
+    fn default() -> PlfsRc {
+        PlfsRc {
             mounts: Vec::new(),
             threadpool_size: 16,
             read_fanout_threshold: DEFAULT_FANOUT_THRESHOLD,
@@ -149,174 +180,95 @@ impl PlfsRc {
             readahead_min_bytes: DEFAULT_READAHEAD_MIN,
             readahead_max_bytes: DEFAULT_READAHEAD_MAX,
             data_cache_shards: DEFAULT_CACHE_SHARDS,
-        };
+        }
+    }
+}
+
+impl PlfsRc {
+    /// Parse the line-oriented `plfsrc` format. Unknown keys are ignored
+    /// (like the C parser); malformed values are errors.
+    pub fn parse(text: &str) -> Result<PlfsRc> {
+        let mut rc = PlfsRc::default();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let (key, value) = match line.split_once(char::is_whitespace) {
-                Some((k, v)) => (k, v.trim()),
-                None => {
-                    return Err(Error::InvalidArg("plfsrc line missing value"))
-                        .map_err(|e| annotate_line(e, lineno));
-                }
-            };
-            match key {
-                "mount_point" => rc.mounts.push(MountSpec {
+            let (key, value) = line
+                .split_once(char::is_whitespace)
+                .map(|(k, v)| (k, v.trim()))
+                .ok_or_else(|| config_error("plfsrc line missing value", lineno))?;
+            let global = rc.set(key, value).map_err(|m| config_error(m, lineno))?;
+            if global {
+                continue;
+            }
+            if key == "mount_point" {
+                rc.mounts.push(MountSpec {
                     mount_point: value.trim_end_matches('/').to_string(),
                     backends: Vec::new(),
-                    params: ContainerParams::default(),
-                    index_buffer_entries: DEFAULT_INDEX_BUFFER_ENTRIES,
-                }),
-                "threadpool_size" => {
-                    rc.threadpool_size = parse_num(value, lineno)? as usize;
-                }
-                "read_fanout_threshold" => {
-                    rc.read_fanout_threshold = parse_num(value, lineno)?;
-                }
-                "handle_cache_shards" => {
-                    rc.handle_cache_shards = parse_num(value, lineno)? as usize;
-                }
-                "write_shards" => {
-                    rc.write_shards = parse_num(value, lineno)? as usize;
-                }
-                "data_buffer_bytes" => {
-                    rc.data_buffer_bytes = parse_num(value, lineno)? as usize;
-                }
-                "data_buffer_mbs" => {
-                    // Checked: `18446744073709551615` in a plfsrc must be a
-                    // parse error, not a debug-build multiply overflow.
-                    rc.data_buffer_bytes = parse_num(value, lineno)?
-                        .checked_mul(1 << 20)
-                        .and_then(|b| usize::try_from(b).ok())
-                        .ok_or_else(|| config_error("data_buffer_mbs out of range", lineno))?;
-                }
-                "incremental_refresh" => {
-                    rc.incremental_refresh = match value {
-                        "true" | "1" | "yes" | "on" => true,
-                        "false" | "0" | "no" | "off" => false,
-                        _ => return Err(config_error("bad boolean value in plfsrc", lineno)),
-                    };
-                }
-                "meta_cache_entries" => {
-                    rc.meta_cache_entries = parse_num(value, lineno)? as usize;
-                }
-                "meta_cache_shards" => {
-                    rc.meta_cache_shards = parse_num(value, lineno)? as usize;
-                }
-                "index_memory_bytes" => {
-                    rc.index_memory_bytes = parse_num(value, lineno)? as usize;
-                }
-                "compact_droppings_threshold" => {
-                    rc.compact_droppings_threshold = parse_num(value, lineno)? as usize;
-                }
-                "list_io" => {
-                    rc.list_io = match value {
-                        "true" | "1" | "yes" | "on" => true,
-                        "false" | "0" | "no" | "off" => false,
-                        _ => return Err(config_error("bad boolean value in plfsrc", lineno)),
-                    };
-                }
-                "list_io_max_extents" => {
-                    rc.list_io_max_extents = parse_num(value, lineno)? as usize;
-                }
-                "open_markers" => {
-                    rc.open_markers = OpenMarkers::parse(value).ok_or_else(|| {
-                        config_error("unknown open_markers policy in plfsrc", lineno)
-                    })?;
-                }
-                "backend" => {
-                    rc.backend = BackendKind::parse(value)
-                        .ok_or_else(|| config_error("unknown backend kind in plfsrc", lineno))?;
-                }
-                "submit_depth" => {
-                    rc.submit_depth = parse_num(value, lineno)? as usize;
-                }
-                "submit_workers" => {
-                    rc.submit_workers = parse_num(value, lineno)? as usize;
-                }
-                "destage_threshold" => {
-                    rc.destage_threshold = parse_num(value, lineno)?;
-                }
-                "data_cache_mbs" => {
-                    // Checked like data_buffer_mbs: absurd values are parse
-                    // errors, not debug-build multiply overflows.
-                    rc.data_cache_bytes = parse_num(value, lineno)?
-                        .checked_mul(1 << 20)
-                        .and_then(|b| usize::try_from(b).ok())
-                        .ok_or_else(|| config_error("data_cache_mbs out of range", lineno))?;
-                }
-                "data_cache_block_kbs" => {
-                    rc.data_cache_block_bytes = parse_num(value, lineno)?
-                        .checked_mul(1 << 10)
-                        .and_then(|b| usize::try_from(b).ok())
-                        .ok_or_else(|| config_error("data_cache_block_kbs out of range", lineno))?;
-                }
-                "readahead_kbs" => {
-                    rc.readahead_min_bytes = parse_num(value, lineno)?
-                        .checked_mul(1 << 10)
-                        .and_then(|b| usize::try_from(b).ok())
-                        .ok_or_else(|| config_error("readahead_kbs out of range", lineno))?;
-                }
-                "readahead_max_kbs" => {
-                    rc.readahead_max_bytes = parse_num(value, lineno)?
-                        .checked_mul(1 << 10)
-                        .and_then(|b| usize::try_from(b).ok())
-                        .ok_or_else(|| config_error("readahead_max_kbs out of range", lineno))?;
-                }
-                "data_cache_shards" => {
-                    rc.data_cache_shards = parse_num(value, lineno)? as usize;
-                }
-                _ => {
-                    let Some(m) = rc.mounts.last_mut() else {
-                        return Err(config_error(
-                            "plfsrc key appears before any mount_point",
-                            lineno,
-                        ));
-                    };
-                    match key {
-                        "backends" => {
-                            m.backends = value
-                                .split(',')
-                                .map(|s| s.trim().to_string())
-                                .filter(|s| !s.is_empty())
-                                .collect();
-                        }
-                        "num_hostdirs" => {
-                            // Checked: `as u32` would truncate 2^32+1 to a
-                            // silently-accepted 1.
-                            m.params.num_hostdirs = u32::try_from(parse_num(value, lineno)?)
-                                .map_err(|_| config_error("num_hostdirs out of range", lineno))?;
-                        }
-                        "index_buffer_entries" => {
-                            m.index_buffer_entries = parse_num(value, lineno)? as usize;
-                        }
-                        "workload" | "mode" => {
-                            m.params.mode = match value {
-                                "shared_file" | "n-1" | "both" => LayoutMode::Both,
-                                "file_per_proc" | "n-n" | "partitioned" => {
-                                    LayoutMode::PartitionedOnly
-                                }
-                                "log" => LayoutMode::LogStructured,
-                                _ => return Err(config_error("unknown workload mode", lineno)),
-                            };
-                        }
-                        // Accept-and-ignore keys the real plfsrc has.
-                        _ => {}
-                    }
-                }
+                    ..MountSpec::simple("", "")
+                });
+                continue;
             }
+            let Some(m) = rc.mounts.last_mut() else {
+                return Err(config_error(
+                    "plfsrc key appears before any mount_point",
+                    lineno,
+                ));
+            };
+            m.set(key, value).map_err(|m| config_error(m, lineno))?;
         }
-        for m in &rc.mounts {
-            if m.backends.is_empty() {
-                return Err(Error::InvalidArg("mount_point with no backends"));
-            }
-            if m.params.num_hostdirs == 0 {
-                return Err(Error::InvalidArg("num_hostdirs must be nonzero"));
-            }
+        if rc.mounts.iter().any(|m| m.backends.is_empty()) {
+            return Err(Error::InvalidArg("mount_point with no backends"));
         }
         Ok(rc)
+    }
+
+    /// Set one global key from its `plfsrc` value text. `Ok(false)` means
+    /// `key` is not a global key; a malformed value is an error naming it.
+    pub fn set(&mut self, key: &str, value: &str) -> std::result::Result<bool, &'static str> {
+        let num = || parse_num(value);
+        let size = |n: u64| usize::try_from(n).map_err(|_| "value out of range");
+        // Checked: `18446744073709551615` MiB must be a parse error, not a
+        // debug-build multiply overflow.
+        let scaled = |shift: u32| {
+            num()?
+                .checked_mul(1 << shift)
+                .ok_or("value out of range")
+                .and_then(size)
+        };
+        match key {
+            "threadpool_size" => self.threadpool_size = size(num()?)?,
+            "read_fanout_threshold" => self.read_fanout_threshold = num()?,
+            "handle_cache_shards" => self.handle_cache_shards = size(num()?)?,
+            "write_shards" => self.write_shards = size(num()?)?,
+            "data_buffer_bytes" => self.data_buffer_bytes = size(num()?)?,
+            "data_buffer_mbs" => self.data_buffer_bytes = scaled(20)?,
+            "incremental_refresh" => self.incremental_refresh = parse_bool(value)?,
+            "meta_cache_entries" => self.meta_cache_entries = size(num()?)?,
+            "meta_cache_shards" => self.meta_cache_shards = size(num()?)?,
+            "index_memory_bytes" => self.index_memory_bytes = size(num()?)?,
+            "compact_droppings_threshold" => self.compact_droppings_threshold = size(num()?)?,
+            "list_io" => self.list_io = parse_bool(value)?,
+            "list_io_max_extents" => self.list_io_max_extents = size(num()?)?,
+            "open_markers" => {
+                self.open_markers =
+                    OpenMarkers::parse(value).ok_or("unknown open_markers policy in plfsrc")?;
+            }
+            "backend" => {
+                self.backend = BackendKind::parse(value).ok_or("unknown backend kind in plfsrc")?;
+            }
+            "submit_depth" => self.submit_depth = size(num()?)?,
+            "submit_workers" => self.submit_workers = size(num()?)?,
+            "destage_threshold" => self.destage_threshold = num()?,
+            "data_cache_mbs" => self.data_cache_bytes = scaled(20)?,
+            "data_cache_block_kbs" => self.data_cache_block_bytes = scaled(10)?,
+            "readahead_kbs" => self.readahead_min_bytes = scaled(10)?,
+            "readahead_max_kbs" => self.readahead_max_bytes = scaled(10)?,
+            "data_cache_shards" => self.data_cache_shards = size(num()?)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// The read-path configuration these global knobs describe, ready to
@@ -387,9 +339,19 @@ impl PlfsRc {
     }
 }
 
-fn parse_num(v: &str, lineno: usize) -> Result<u64> {
-    v.parse()
-        .map_err(|_| config_error("bad numeric value in plfsrc", lineno))
+/// The `plfsrc` number parser: a decimal `u64`.
+pub fn parse_num(v: &str) -> std::result::Result<u64, &'static str> {
+    v.parse().map_err(|_| "bad numeric value in plfsrc")
+}
+
+/// The `plfsrc` boolean parser: `true`/`1`/`yes`/`on` or
+/// `false`/`0`/`no`/`off`.
+fn parse_bool(v: &str) -> std::result::Result<bool, &'static str> {
+    match v {
+        "true" | "1" | "yes" | "on" => Ok(true),
+        "false" | "0" | "no" | "off" => Ok(false),
+        _ => Err("bad boolean value in plfsrc"),
+    }
 }
 
 /// A malformed-plfsrc error naming the offending (1-based) line, so a bad
@@ -397,13 +359,6 @@ fn parse_num(v: &str, lineno: usize) -> Result<u64> {
 /// other config error.
 fn config_error(msg: &str, lineno: usize) -> Error {
     Error::Config(format!("{msg}, line {}", lineno + 1))
-}
-
-fn annotate_line(e: Error, lineno: usize) -> Error {
-    match e {
-        Error::InvalidArg(m) => config_error(m, lineno),
-        other => other,
-    }
 }
 
 /// True if `path` is `prefix` or lives underneath it.

@@ -4,7 +4,17 @@
 //! plain `std::fs` calls route through libc and therefore through the
 //! interposed symbols. Exits 0 after verifying a write/read/seek/stat
 //! round-trip inside the mount and passthrough outside it, then the
-//! in-place read path and each way a read-only fd escapes the shim.
+//! in-place read path and each way a read-only fd escapes the shim, then a
+//! forked child writing through an inherited fd.
+//!
+//! Two other modes serve the end-to-end tests: `preload-smoke diff <seed>
+//! <dir>` runs the differential test's op list on `<dir>` (a mount path
+//! under the preload, or a plain directory without it) and prints its log,
+//! and `preload-smoke rejected` checks that a rejected `LDPLFS_*`
+//! configuration fails mount paths with `EINVAL` and passes others through.
+
+#[path = "../../tests/common/diff_ops.rs"]
+mod diff_ops;
 
 use std::ffi::CString;
 use std::fs;
@@ -62,6 +72,15 @@ extern "C" {
     fn __read_chk(fd: c_int, buf: *mut c_void, n: usize, buflen: usize) -> isize;
     fn __pread64_chk(fd: c_int, buf: *mut c_void, n: usize, off: i64, buflen: usize) -> isize;
     fn syscall(num: c_long, ...) -> c_long;
+    fn write(fd: c_int, buf: *const c_void, n: usize) -> isize;
+    fn pwrite(fd: c_int, buf: *const c_void, n: usize, off: i64) -> isize;
+    fn lseek(fd: c_int, off: i64, whence: c_int) -> i64;
+    fn ftruncate(fd: c_int, len: i64) -> c_int;
+    fn unlink(path: *const c_char) -> c_int;
+    fn stat(path: *const c_char, st: *mut [i64; 18]) -> c_int;
+    fn fork() -> c_int;
+    fn waitpid(pid: c_int, status: *mut c_int, options: c_int) -> c_int;
+    fn _exit(status: c_int) -> !;
 }
 
 const O_RDONLY: c_int = 0;
@@ -118,6 +137,18 @@ fn vectored_roundtrip(fd: c_int, tag: &str) {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    match args.get(1).map(String::as_str) {
+        Some("diff") => {
+            let seed = args[2].parse().expect("seed");
+            for line in diff_ops::run(&Libc, &args[3], seed) {
+                println!("{line}");
+            }
+            return;
+        }
+        Some("rejected") => return rejected(),
+        _ => {}
+    }
     let mount = std::env::var("LDPLFS_MOUNT").expect("LDPLFS_MOUNT not set");
     let outside = std::env::var("SMOKE_OUTSIDE").expect("SMOKE_OUTSIDE not set");
 
@@ -187,7 +218,160 @@ fn main() {
     // 5. Read-only opens, in place and through each escape.
     read_only_fds(&mount, &outside);
 
+    // 6. A forked child writing through an inherited fd.
+    fork_child_writes(&mount);
+
     println!("preload smoke OK");
+}
+
+/// The result of a libc call that returns `-1` on error.
+fn res<T: TryFrom<i64>>(r: i64) -> diff_ops::Res<T> {
+    match T::try_from(r) {
+        Ok(v) if r >= 0 => Ok(v),
+        _ => Err(std::io::Error::last_os_error().raw_os_error().unwrap_or(0)),
+    }
+}
+
+fn cpath(path: &str) -> CString {
+    CString::new(path).expect("path")
+}
+
+fn stat_size(path: &str) -> diff_ops::Res<u64> {
+    let mut st = [0i64; 18];
+    res::<u64>(unsafe { stat(cpath(path).as_ptr(), &mut st) } as i64).map(|_| st[6] as u64)
+}
+
+/// The differential op list's calls, made through libc — and so through
+/// the preload when it is loaded.
+struct Libc;
+
+impl diff_ops::Fs for Libc {
+    fn open(&self, path: &str, flags: i32) -> diff_ops::Res<i32> {
+        res(unsafe { open(cpath(path).as_ptr(), flags, 0o644) } as i64)
+    }
+
+    fn close(&self, fd: i32) -> diff_ops::Res<()> {
+        res::<i32>(unsafe { close(fd) } as i64).map(drop)
+    }
+
+    fn read(&self, fd: i32, buf: &mut [u8], at: Option<u64>) -> diff_ops::Res<usize> {
+        let p = buf.as_mut_ptr() as *mut c_void;
+        res(match at {
+            Some(off) => unsafe { pread(fd, p, buf.len(), off as i64) },
+            None => unsafe { read(fd, p, buf.len()) },
+        } as i64)
+    }
+
+    fn write(&self, fd: i32, data: &[u8], at: Option<u64>) -> diff_ops::Res<usize> {
+        let p = data.as_ptr() as *const c_void;
+        res(match at {
+            Some(off) => unsafe { pwrite(fd, p, data.len(), off as i64) },
+            None => unsafe { write(fd, p, data.len()) },
+        } as i64)
+    }
+
+    fn readv(&self, fd: i32, bufs: &mut [&mut [u8]], at: Option<u64>) -> diff_ops::Res<usize> {
+        let v: Vec<IoVec> = bufs.iter_mut().map(|b| iov(b)).collect();
+        res(match at {
+            Some(off) => unsafe { preadv(fd, v.as_ptr(), v.len() as c_int, off as i64) },
+            None => unsafe { readv(fd, v.as_ptr(), v.len() as c_int) },
+        } as i64)
+    }
+
+    fn writev(&self, fd: i32, bufs: &[&[u8]]) -> diff_ops::Res<usize> {
+        let v: Vec<IoVec> = bufs
+            .iter()
+            .map(|b| IoVec {
+                iov_base: b.as_ptr() as *mut c_void,
+                iov_len: b.len(),
+            })
+            .collect();
+        res(unsafe { writev(fd, v.as_ptr(), v.len() as c_int) } as i64)
+    }
+
+    fn lseek(&self, fd: i32, off: i64, whence: i32) -> diff_ops::Res<i64> {
+        res(unsafe { lseek(fd, off, whence) })
+    }
+
+    fn dup(&self, fd: i32) -> diff_ops::Res<i32> {
+        res(unsafe { dup(fd) } as i64)
+    }
+
+    fn ftruncate(&self, fd: i32, len: u64) -> diff_ops::Res<()> {
+        res::<i32>(unsafe { ftruncate(fd, len as i64) } as i64).map(drop)
+    }
+
+    fn fstat(&self, fd: i32) -> diff_ops::Res<u64> {
+        let mut st = [0i64; 18];
+        res::<u64>(unsafe { fstat(fd, &mut st) } as i64).map(|_| st[6] as u64)
+    }
+
+    fn stat(&self, path: &str) -> diff_ops::Res<u64> {
+        stat_size(path)
+    }
+
+    fn unlink(&self, path: &str) -> diff_ops::Res<()> {
+        res::<i32>(unsafe { unlink(cpath(path).as_ptr()) } as i64).map(drop)
+    }
+}
+
+/// Under a rejected configuration, calls on mount paths fail with `EINVAL`
+/// and calls outside the mount pass through.
+fn rejected() {
+    let mount = std::env::var("LDPLFS_MOUNT").expect("LDPLFS_MOUNT not set");
+    let outside = std::env::var("SMOKE_OUTSIDE").expect("SMOKE_OUTSIDE not set");
+    let einval = |what: &str, r: std::io::Result<()>| {
+        let e = r.expect_err(what).raw_os_error();
+        assert_eq!(e, Some(22), "{what}: EINVAL");
+    };
+    let inside = format!("{mount}/f");
+    einval("create", fs::write(&inside, b"x"));
+    einval("open", fs::File::open(&inside).map(drop));
+    einval("stat", fs::metadata(&inside).map(drop));
+    einval("unlink", fs::remove_file(&inside));
+    let plain = format!("{outside}/plain.dat");
+    fs::write(&plain, b"plain").expect("write outside");
+    assert_eq!(fs::read(&plain).expect("read outside"), b"plain");
+    println!("rejected OK");
+}
+
+/// A forked child writes past the parent's EOF through an inherited fd and
+/// closes it; then the parent closes. The child's close is a full one — it
+/// leaves a meta entry and removes its open-writer marker — and the
+/// parent's copied writer state is never flushed from the child.
+fn fork_child_writes(mount: &str) {
+    let backend = std::env::var("LDPLFS_BACKEND").expect("LDPLFS_BACKEND not set");
+    let path = format!("{mount}/forked.dat");
+    let mut f = fs::File::create(&path).expect("create forked.dat");
+    f.write_all(b"parent-head:").expect("parent write");
+    let fd = f.as_raw_fd();
+    let child = unsafe { fork() };
+    assert!(child >= 0, "fork");
+    if child == 0 {
+        let ok = unsafe { lseek(fd, 8, 1) } == 20
+            && unsafe { write(fd, b"child-bytes!".as_ptr() as *const c_void, 12) } == 12
+            && unsafe { close(fd) } == 0;
+        unsafe { _exit(if ok { 0 } else { 1 }) };
+    }
+    let mut status = 0;
+    assert_eq!(unsafe { waitpid(child, &mut status, 0) }, child, "waitpid");
+    assert_eq!(status, 0, "the child's write and close succeeded");
+    drop(f);
+
+    let mut want = b"parent-head:".to_vec();
+    want.extend_from_slice(&[0; 8]);
+    want.extend_from_slice(b"child-bytes!");
+    assert_eq!(
+        stat_size(&path),
+        Ok(want.len() as u64),
+        "stat after both closes"
+    );
+    assert_eq!(fs::read(&path).expect("read forked.dat"), want, "bytes");
+    let markers = fs::read_dir(format!("{backend}/forked.dat/openhosts"))
+        .expect("openhosts/")
+        .count();
+    assert_eq!(markers, 0, "no open-writer marker left behind");
+    fs::remove_file(&path).expect("unlink forked.dat");
 }
 
 fn open_ro(path: &CString, flags: c_int) -> c_int {

@@ -24,50 +24,68 @@
 //! `LDPLFS_MOUNT` forward to the real libc via `dlsym(RTLD_NEXT, …)`,
 //! exactly like the original.
 //!
-//! Faithful to the paper's design, the shim reserves a *genuine* kernel fd
-//! per PLFS open (here via `memfd_create`, avoiding the litter of the
-//! paper's `/dev/random` trick) and keeps the logical cursor in that fd via
-//! real `lseek`s — so `dup(2)`'d descriptors share cursors exactly like
+//! This library is a front end on the shim core, `ldplfs::fdtable`: the
+//! table of PLFS opens, the cursor kept in each open's reserved descriptor,
+//! `O_APPEND`, dup sharing, close, vectored I/O, `lseek`, fsync, fstat,
+//! ftruncate and the path operations are the same code that the trait-level
+//! `ldplfs::LdPlfs` runs. What stays here is the C ABI: argument and
+//! `struct stat`/`statx` conversion, errno, the `ffi_guard!` panic barrier,
+//! `real!` passthrough, fake inodes, the stdio, `mmap` and kernel-copy entry
+//! points, and how a descriptor is reserved — faithful to the paper, a
+//! *genuine* kernel fd per PLFS open (here via `memfd_create`, avoiding the
+//! litter of the paper's `/dev/random` trick), whose cursor the core moves
+//! with real `lseek`s, so `dup(2)`'d descriptors share cursors exactly like
 //! ordinary files.
 //!
-//! Reads are served in place: `read`, `pread`, the vectored reads, `lseek`
-//! and `fstat` on any PLFS fd go to `PlfsFd`, so a process copies only the
-//! bytes it asks for. The reserved memfd of a read-only open stays empty
-//! until the fd *escapes* the interposed symbols; then the container's
-//! logical bytes are copied into it once, with real `pwrite`s that leave
-//! the shared cursor alone. The escapes are `fopen`/`fdopen` (stdio reads
-//! run inside glibc), `mmap`, `copy_file_range` and `sendfile` (the kernel
-//! copies from the memfd), and inheritance across `execve`: a read-only
-//! open's memfd is named `ldplfs-ro:<logical path>`, and when the library
-//! loads into an exec'd process it scans `/proc/self/fd`, then adopts and
-//! fills every such fd — so `md5sum < /mount/file` works. A logical path
-//! too long for a memfd name is filled at open instead.
+//! Reads are served in place: a process copies only the bytes it asks for.
+//! The reserved memfd of a read-only open stays empty until the fd
+//! *escapes* the interposed symbols; then the container's logical bytes are
+//! copied into it once, with real `pwrite`s that leave the shared cursor
+//! alone. The escapes are `fopen`/`fdopen` (stdio reads run inside glibc),
+//! `mmap`, `copy_file_range` and `sendfile` (the kernel copies from the
+//! memfd), and inheritance across `execve`: a read-only open's memfd is
+//! named `ldplfs-ro:<logical path>`, and when the library loads into an
+//! exec'd process it scans `/proc/self/fd`, then adopts and fills every such
+//! fd — so `md5sum < /mount/file` works. A logical path too long for a memfd
+//! name is filled at open instead.
 //!
 //! An in-kernel copy (`copy_file_range`, `sendfile`) that touches a
 //! *writable* PLFS fd fails with `EXDEV`/`EINVAL`, the errors on which
 //! callers such as `cp` fall back to `read`/`write`.
 //!
-//! Tuning knobs (all optional): `LDPLFS_HOSTDIRS`, `LDPLFS_META_CACHE`,
-//! `LDPLFS_OPEN_MARKERS`, `LDPLFS_INDEX_MEMORY_BYTES` (bound the resident
-//! merged index; 0 keeps the eager index), `LDPLFS_COMPACT_THRESHOLD`
-//! (fold droppings in the background after last close once a container
-//! exceeds this many), `LDPLFS_LIST_IO` (`0` lowers vectored/list calls to
-//! per-extent single ops), `LDPLFS_LIST_IO_MAX_EXTENTS` (extents per
-//! internal list-I/O batch), `LDPLFS_DATA_CACHE` (per-fd data block cache
-//! budget in bytes; 0 or unset keeps caching off), and `LDPLFS_READAHEAD`
-//! (readahead window ceiling in bytes for cached sequential streams; 0
-//! keeps the cache but disables readahead).
+//! Across `fork`, the core's pid rule holds: a child that writes through an
+//! inherited fd takes its own PLFS reference, so its close syncs its
+//! dropping, leaves its meta entry and removes its open marker; a child that
+//! only closes an inherited fd gets 0 and leaves the parent's writer state
+//! alone.
 //!
-//! Scale-out backend knobs (mirror the plfsrc `backend`/`submit_*` keys):
-//! `LDPLFS_BACKEND_KIND=direct|batched|tiered|object` picks the backend
-//! stack over the `LDPLFS_BACKEND` directory; `tiered` additionally needs
-//! `LDPLFS_FAST_BACKEND=<dir>` as the burst-buffer tier (writes land there
-//! and sealed droppings destage to `LDPLFS_BACKEND` in the background).
-//! `LDPLFS_SUBMIT_DEPTH` / `LDPLFS_SUBMIT_WORKERS` size the async
-//! submission queue (depth 0 keeps the synchronous path), and
-//! `LDPLFS_DESTAGE_THRESHOLD` keeps droppings smaller than this many bytes
-//! on the fast tier. As with every other knob, unparsable values keep the
-//! defaults — the shim must never refuse to start over tuning.
+//! Configuration: `LDPLFS_MOUNT` and `LDPLFS_BACKEND` name the mount and
+//! its backend directory. The optional knobs are parsed by the plfsrc value
+//! parser of the key each one mirrors, and the backend stack is composed as
+//! for a plfsrc mount (`ldplfs::plfs_for_mount`):
+//!
+//! | variable | plfsrc key |
+//! |---|---|
+//! | `LDPLFS_HOSTDIRS` | `num_hostdirs` |
+//! | `LDPLFS_META_CACHE` | `meta_cache_entries` (0 disables the cache) |
+//! | `LDPLFS_OPEN_MARKERS` | `open_markers` (`eager`, `lazy`, `off`) |
+//! | `LDPLFS_INDEX_MEMORY_BYTES` | `index_memory_bytes` (0 keeps the eager index) |
+//! | `LDPLFS_COMPACT_THRESHOLD` | `compact_droppings_threshold` |
+//! | `LDPLFS_LIST_IO` | `list_io` (`0` lowers vectored calls to per-extent ops) |
+//! | `LDPLFS_LIST_IO_MAX_EXTENTS` | `list_io_max_extents` |
+//! | `LDPLFS_DATA_CACHE` | `data_cache_mbs`, but in bytes (0 keeps caching off) |
+//! | `LDPLFS_READAHEAD` | `readahead_max_kbs`, but in bytes (0 disables readahead) |
+//! | `LDPLFS_BACKEND_KIND` | `backend` (`direct`, `batched`, `tiered`, `object`) |
+//! | `LDPLFS_SUBMIT_DEPTH` | `submit_depth` |
+//! | `LDPLFS_SUBMIT_WORKERS` | `submit_workers` |
+//! | `LDPLFS_DESTAGE_THRESHOLD` | `destage_threshold` |
+//!
+//! `tiered` also needs `LDPLFS_FAST_BACKEND=<dir>`, the burst-buffer tier:
+//! writes land there and sealed droppings destage to `LDPLFS_BACKEND` in the
+//! background (drained at exit). A value the plfsrc parser rejects — or
+//! `tiered` without a usable fast directory, or an unusable backend — is
+//! rejected like a bad plfsrc: every call on a mount path then fails with
+//! `EINVAL`, while calls outside the mount still pass through.
 //!
 //! Known limitations:
 //!
@@ -90,9 +108,10 @@
 
 #![allow(clippy::missing_safety_doc)]
 
-use parking_lot::RwLock;
-use plfs::{OpenFlags, Plfs, PlfsFd, RealBacking};
-use std::collections::HashMap;
+use ldplfs::fdtable::{At, Entry, OpenFile, Reserve, ShimCore, ShimMount};
+use ldplfs::{Errno, OpenFlags, PosixResult, Whence};
+use plfs::mount::{parse_num, path_has_prefix};
+use plfs::{MountSpec, PlfsRc, RealBacking};
 use std::ffi::CStr;
 use std::os::raw::{c_char, c_int, c_long, c_uint, c_void};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,11 +130,8 @@ pub(crate) type ModeT = c_uint;
 const RTLD_NEXT: *mut c_void = -1isize as *mut c_void;
 const AT_FDCWD: c_int = -100;
 
-const O_ACCMODE: c_int = 0o3;
 const O_CREAT: c_int = 0o100;
-const O_EXCL: c_int = 0o200;
 const O_TRUNC: c_int = 0o1000;
-const O_APPEND: c_int = 0o2000;
 const O_DIRECTORY: c_int = 0o200000;
 const O_CLOEXEC: c_int = 0o2000000;
 
@@ -124,7 +140,6 @@ const SEEK_CUR: c_int = 1;
 const SEEK_END: c_int = 2;
 
 const EIO: c_int = 5;
-const EBADF: c_int = 9;
 const ENOMEM: c_int = 12;
 const EXDEV: c_int = 18;
 const EINVAL: c_int = 22;
@@ -133,7 +148,6 @@ extern "C" {
     fn dlsym(handle: *mut c_void, symbol: *const c_char) -> *mut c_void;
     fn __errno_location() -> *mut c_int;
     fn syscall(num: c_long, ...) -> c_long;
-    fn getpid() -> c_int;
     fn atexit(cb: extern "C" fn()) -> c_int;
     fn fileno(fp: *mut c_void) -> c_int;
 }
@@ -163,8 +177,8 @@ fn errno() -> c_int {
 ///
 /// `AssertUnwindSafe` is sound because nothing is resumed after a catch:
 /// the process-global shim state is lock-guarded (parking_lot poisons
-/// nothing) and a torn `OpenState` at worst fails subsequent calls with
-/// EBADF, never UB.
+/// nothing) and a torn entry at worst fails subsequent calls with EBADF,
+/// never UB.
 macro_rules! ffi_guard {
     ($err:expr, $body:expr) => {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| $body)) {
@@ -189,36 +203,55 @@ macro_rules! real {
     }};
 }
 
+/// The C return of a core result: the value, or `-1` with errno set.
+fn cret<T: From<i8>>(r: PosixResult<T>) -> T {
+    match r {
+        Ok(v) => v,
+        Err(e) => {
+            set_errno(e.0);
+            T::from(-1)
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Shim state.
 // ---------------------------------------------------------------------------
 
-struct OpenState {
-    plfs_fd: Arc<PlfsFd>,
-    append: bool,
-    /// `fake_ino` of the logical path, so `fstat` agrees with `stat(path)`
-    /// (`cp` aborts when they differ).
-    ino: u64,
-    /// Set once the container's bytes are in the reserved memfd (read-only
-    /// opens only; see [`ensure_filled`]).
-    filled: AtomicBool,
-}
+/// Reserves each PLFS open's descriptor as a memfd: a genuine fd with a
+/// real file description (so lseek works and dup shares cursors) but no
+/// file-system presence. Each open's extra state says whether the
+/// container's bytes are in the memfd yet (read-only opens only; see
+/// [`ensure_filled`]).
+struct Memfd;
 
-impl OpenState {
-    fn new(plfs_fd: Arc<PlfsFd>, rel: &str, append: bool) -> Arc<OpenState> {
-        Arc::new(OpenState {
-            plfs_fd,
-            append,
-            ino: fake_ino(rel),
-            filled: AtomicBool::new(false),
-        })
+type Core = ShimCore<Memfd>;
+
+impl Reserve for Memfd {
+    type Extra = AtomicBool;
+
+    fn reserve(&self, logical: &str, flags: OpenFlags) -> PosixResult<(c_int, AtomicBool)> {
+        let cloexec = flags.0 & O_CLOEXEC as u32 != 0;
+        let fd = reserve_fd(logical, !flags.writable(), cloexec);
+        if fd < 0 {
+            return Err(Errno(ENOMEM));
+        }
+        Ok((fd, AtomicBool::new(false)))
+    }
+
+    fn seek(&self, fd: c_int, offset: i64, whence: Whence) -> PosixResult<u64> {
+        let f = real!(lseek, unsafe extern "C" fn(c_int, OffT, c_int) -> OffT);
+        // SAFETY: lseek takes plain integers; a bad fd is an error return.
+        let r = unsafe { f(fd, offset, whence as c_int) };
+        u64::try_from(r).map_err(|_| Errno(errno()))
     }
 }
 
-struct Shim {
-    mount: String,
-    plfs: Plfs,
-    table: RwLock<HashMap<c_int, Arc<OpenState>>>,
+/// The library's state: the shim core, or — when the configuration was
+/// rejected — the mount point, on which every call fails with `EINVAL`.
+enum Shim {
+    On(Core),
+    Rejected(String),
 }
 
 static SHIM: OnceLock<Option<Shim>> = OnceLock::new();
@@ -264,158 +297,100 @@ fn shim() -> Option<&'static Shim> {
     .as_ref()
 }
 
+/// The `LDPLFS_*` knobs and the plfsrc key whose value parser each uses.
+const KNOBS: &[(&str, &str)] = &[
+    ("LDPLFS_HOSTDIRS", "num_hostdirs"),
+    ("LDPLFS_META_CACHE", "meta_cache_entries"),
+    ("LDPLFS_OPEN_MARKERS", "open_markers"),
+    ("LDPLFS_INDEX_MEMORY_BYTES", "index_memory_bytes"),
+    ("LDPLFS_COMPACT_THRESHOLD", "compact_droppings_threshold"),
+    ("LDPLFS_LIST_IO", "list_io"),
+    ("LDPLFS_LIST_IO_MAX_EXTENTS", "list_io_max_extents"),
+    ("LDPLFS_BACKEND_KIND", "backend"),
+    ("LDPLFS_SUBMIT_DEPTH", "submit_depth"),
+    ("LDPLFS_SUBMIT_WORKERS", "submit_workers"),
+    ("LDPLFS_DESTAGE_THRESHOLD", "destage_threshold"),
+];
+
 fn init_shim() -> Option<Shim> {
-    {
-        let mount = std::env::var("LDPLFS_MOUNT").ok()?;
-        let backend = std::env::var("LDPLFS_BACKEND").ok()?;
-        let mount = mount.trim_end_matches('/').to_string();
-        if mount.is_empty() {
-            return None;
-        }
-        let mut backing: Arc<dyn plfs::Backing> = Arc::new(RealBacking::new(backend).ok()?);
-        // Scale-out backend stack (LDPLFS_BACKEND_KIND + submission knobs).
-        // A tiered request without a usable fast directory degrades to the
-        // direct stack rather than refusing to start.
-        let kind = std::env::var("LDPLFS_BACKEND_KIND")
-            .ok()
-            .and_then(|v| plfs::BackendKind::parse(&v))
-            .unwrap_or_default();
-        let mut bconf = plfs::BackendConf::default();
-        if let Ok(n) = std::env::var("LDPLFS_SUBMIT_DEPTH") {
-            if let Ok(n) = n.parse::<usize>() {
-                bconf = bconf.with_submit_depth(n);
+    let mount = std::env::var("LDPLFS_MOUNT").ok()?;
+    let mount = mount.trim_end_matches('/');
+    if mount.is_empty() {
+        return None;
+    }
+    Some(match configure(mount) {
+        Some(core) => Shim::On(core),
+        None => Shim::Rejected(mount.to_string()),
+    })
+}
+
+/// The core the `LDPLFS_*` variables describe, built as one plfsrc mount;
+/// `None` when any value is rejected.
+fn configure(mount: &str) -> Option<Core> {
+    let env = |var: &str| std::env::var(var).ok();
+    // The library reads on the caller's thread: no knob sizes a read pool.
+    let mut rc = PlfsRc {
+        threadpool_size: 1,
+        ..PlfsRc::default()
+    };
+    let mut spec = MountSpec::simple(mount, env("LDPLFS_BACKEND")?);
+    for (var, key) in KNOBS {
+        if let Some(v) = env(var) {
+            if !rc.set(key, &v).ok()? {
+                spec.set(key, &v).ok()?;
             }
         }
-        if let Ok(n) = std::env::var("LDPLFS_SUBMIT_WORKERS") {
-            if let Ok(n) = n.parse::<usize>() {
-                bconf = bconf.with_submit_workers(n);
-            }
-        }
-        if let Ok(n) = std::env::var("LDPLFS_DESTAGE_THRESHOLD") {
-            if let Ok(n) = n.parse::<u64>() {
-                bconf = bconf.with_destage_threshold(n);
-            }
-        }
-        match kind {
-            plfs::BackendKind::Direct => {}
-            plfs::BackendKind::Batched => {
-                if !bconf.batching() {
-                    bconf = bconf.with_submit_depth(plfs::conf::DEFAULT_SUBMIT_DEPTH);
-                }
-            }
-            plfs::BackendKind::Tiered => {
-                if let Some(fast) = std::env::var("LDPLFS_FAST_BACKEND")
-                    .ok()
-                    .and_then(|d| RealBacking::new(d).ok())
-                {
-                    let tiered = Arc::new(plfs::TieredBacking::new(Arc::new(fast), backing, bconf));
-                    // Destage runs on background workers; short-lived hosts
-                    // (dd, cp, md5sum) would exit before the queue drains,
-                    // leaving every dropping fast-resident. Drain on normal
-                    // exit; an actual crash still has the copy→persist→unlink
-                    // ordering to fall back on.
-                    let _ = TIERED.set(Arc::clone(&tiered));
-                    unsafe { atexit(drain_tiered_at_exit) };
-                    backing = tiered;
-                }
-            }
-            plfs::BackendKind::Object => {
-                backing = Arc::new(plfs::ObjectBacking::over(backing));
-            }
-        }
-        let mut plfs = Plfs::new(backing).with_backend_conf(bconf);
-        if let Ok(n) = std::env::var("LDPLFS_HOSTDIRS") {
-            if let Ok(n) = n.parse::<u32>() {
-                plfs = plfs.with_params(plfs::ContainerParams {
-                    num_hostdirs: n.max(1),
-                    mode: plfs::LayoutMode::Both,
-                });
-            }
-        }
-        // Metadata fast-path knobs, mirroring the plfsrc keys:
-        // LDPLFS_META_CACHE=0 disables the container metadata cache (any
-        // other number sizes it), LDPLFS_OPEN_MARKERS=eager|lazy|off picks
-        // the openhosts/ marker policy. Unparsable values keep defaults —
-        // the shim must never refuse to start over a tuning knob.
-        let mut meta_conf = plfs::MetaConf::default();
-        if let Ok(n) = std::env::var("LDPLFS_META_CACHE") {
-            if let Ok(n) = n.parse::<usize>() {
-                meta_conf = meta_conf.with_meta_cache_entries(n);
-            }
-        }
-        if let Ok(m) = std::env::var("LDPLFS_OPEN_MARKERS") {
-            if let Some(m) = plfs::OpenMarkers::parse(&m) {
-                meta_conf = meta_conf.with_open_markers(m);
-            }
-        }
-        plfs = plfs.with_meta_conf(meta_conf);
-        // LDPLFS_INDEX_MEMORY_BYTES bounds the resident merged index
-        // (mirrors the plfsrc index_memory_bytes key; 0 or unset keeps the
-        // eager fully-expanded index). LDPLFS_COMPACT_THRESHOLD opts into
-        // background compaction at last close once a container accumulates
-        // more droppings than the threshold.
-        if let Ok(n) = std::env::var("LDPLFS_INDEX_MEMORY_BYTES") {
-            if let Ok(n) = n.parse::<usize>() {
-                let conf = plfs.read_conf().with_index_memory_bytes(n);
-                plfs = plfs.with_read_conf(conf);
-            }
-        }
-        if let Ok(n) = std::env::var("LDPLFS_COMPACT_THRESHOLD") {
-            if let Ok(n) = n.parse::<usize>() {
-                let conf = plfs.write_conf().with_compact_droppings_threshold(n);
-                plfs = plfs.with_write_conf(conf);
-            }
-        }
-        // LDPLFS_LIST_IO=0 disables the native list-I/O path — vectored
-        // calls then lower to one single-extent op per buffer —
-        // and LDPLFS_LIST_IO_MAX_EXTENTS caps the extents handled per
-        // internal batch (mirrors the plfsrc list_io* keys).
-        let mut list_conf = *plfs.list_io_conf();
-        if let Ok(v) = std::env::var("LDPLFS_LIST_IO") {
-            list_conf = list_conf.with_enabled(!matches!(v.as_str(), "0" | "false" | "off" | "no"));
-        }
-        if let Ok(n) = std::env::var("LDPLFS_LIST_IO_MAX_EXTENTS") {
-            if let Ok(n) = n.parse::<usize>() {
-                list_conf = list_conf.with_max_extents(n);
-            }
-        }
-        plfs = plfs.with_list_io_conf(list_conf);
-        // LDPLFS_DATA_CACHE sizes the per-fd data block cache in bytes
-        // (mirrors the plfsrc data_cache_mbs key; 0 or unset keeps the
-        // uncached read path). LDPLFS_READAHEAD caps the adaptive readahead
-        // window in bytes (mirrors readahead_max_kbs; 0 disables readahead
-        // while keeping the cache).
-        let mut cache_conf = *plfs.cache_conf();
-        if let Ok(n) = std::env::var("LDPLFS_DATA_CACHE") {
-            if let Ok(n) = n.parse::<usize>() {
-                cache_conf = cache_conf.with_cache_bytes(n);
-            }
-        }
-        if let Ok(n) = std::env::var("LDPLFS_READAHEAD") {
-            if let Ok(n) = n.parse::<usize>() {
-                cache_conf = cache_conf.with_readahead(cache_conf.readahead_min, n);
-            }
-        }
-        plfs = plfs.with_cache_conf(cache_conf);
-        Some(Shim {
-            mount,
-            plfs,
-            table: RwLock::new(HashMap::new()),
-        })
+    }
+    // Byte-valued twins of the MiB/KiB-valued plfsrc keys.
+    if let Some(v) = env("LDPLFS_DATA_CACHE") {
+        rc.data_cache_bytes = parse_num(&v).ok()? as usize;
+    }
+    if let Some(v) = env("LDPLFS_READAHEAD") {
+        rc.readahead_max_bytes = parse_num(&v).ok()? as usize;
+    }
+    // The fast tier comes first, as in a plfsrc `backends` list; without
+    // one, `tiered` is rejected.
+    if let (plfs::BackendKind::Tiered, Some(fast)) = (rc.backend, env("LDPLFS_FAST_BACKEND")) {
+        spec.backends.insert(0, fast);
+    }
+    let real = &mut |dir: &str| Ok(Arc::new(RealBacking::new(dir)?) as Arc<dyn plfs::Backing>);
+    let (plfs, tiered) = ldplfs::plfs_for_mount(&rc, &spec, real).ok()?;
+    if let Some(t) = tiered {
+        // Destage runs on background workers; short-lived hosts (dd, cp,
+        // md5sum) would exit before the queue drains, leaving every
+        // dropping fast-resident. Drain on normal exit; an actual crash
+        // still has the copy→persist→unlink ordering to fall back on.
+        let _ = TIERED.set(t);
+        unsafe { atexit(drain_tiered_at_exit) };
+    }
+    let mount_point = mount.to_string();
+    Some(ShimCore::new(vec![ShimMount { mount_point, plfs }], Memfd))
+}
+
+/// Where a path call goes: `None` passes it through to libc; otherwise the
+/// core and the path inside its mount — or `EINVAL`, on the mount of a
+/// rejected configuration.
+fn route(path: &str) -> Option<PosixResult<(&'static Core, At<'_>)>> {
+    match shim()? {
+        Shim::On(core) => core.route(path).map(|at| Ok((core, at))),
+        Shim::Rejected(m) => path_has_prefix(path, m).then_some(Err(Errno::EINVAL)),
     }
 }
 
-/// Mount-relative logical path, if `path` is inside the mount.
-fn logical(shim: &Shim, path: &str) -> Option<String> {
-    let m = &shim.mount;
-    if path == m {
-        return Some("/".to_string());
+/// The core, if it exists. Never initialises it: only an existing core
+/// can hold a PLFS fd, so this is safe to call from `mmap`, which
+/// allocators call.
+fn core() -> Option<&'static Core> {
+    match SHIM.get() {
+        Some(Some(Shim::On(core))) => Some(core),
+        _ => None,
     }
-    let rest = path.strip_prefix(m.as_str())?;
-    if !rest.starts_with('/') {
-        return None;
-    }
-    Some(rest.to_string())
+}
+
+/// `fd`'s PLFS open, if it is one.
+fn lookup(fd: c_int) -> Option<(&'static Core, Entry<AtomicBool>)> {
+    let core = core()?;
+    core.entry(fd).map(|e| (core, e))
 }
 
 unsafe fn cstr<'a>(p: *const c_char) -> Option<&'a str> {
@@ -425,6 +400,33 @@ unsafe fn cstr<'a>(p: *const c_char) -> Option<&'a str> {
     CStr::from_ptr(p).to_str().ok()
 }
 
+/// A C buffer as a slice; a zero-length one may be null.
+///
+/// # Safety
+/// A nonzero `n` needs `p` valid for `n` bytes for the returned lifetime.
+unsafe fn buf<'a>(p: *const c_void, n: SizeT) -> &'a [u8] {
+    if n == 0 {
+        return &[];
+    }
+    std::slice::from_raw_parts(p as *const u8, n)
+}
+
+/// A writable C buffer as a slice; a zero-length one may be null.
+///
+/// # Safety
+/// As for [`buf`], with `p` writable and not otherwise borrowed.
+unsafe fn buf_mut<'a>(p: *mut c_void, n: SizeT) -> &'a mut [u8] {
+    if n == 0 {
+        return &mut [];
+    }
+    std::slice::from_raw_parts_mut(p as *mut u8, n)
+}
+
+/// A file offset argument; negative ones are `EINVAL`.
+fn offset(off: OffT) -> PosixResult<u64> {
+    u64::try_from(off).map_err(|_| Errno::EINVAL)
+}
+
 /// Prefix of a read-only open's memfd name; the rest is the logical path,
 /// which an exec'd process reads back from `/proc/self/fd` (see
 /// [`adopt_inherited`]).
@@ -432,16 +434,18 @@ const RO_PREFIX: &[u8] = b"ldplfs-ro:";
 /// Longest memfd name the kernel accepts, without its NUL.
 const MFD_NAME_MAX: usize = 249;
 
-/// Reserve the kernel fd of a PLFS open: a genuine fd with a real file
-/// description (so lseek works and dup shares cursors) but no filesystem
-/// presence. A read-only open's memfd carries its logical path in its
-/// name when that fits; the returned flag says whether it did. The name is
-/// built on the stack — no allocation, nothing to unwrap.
-fn reserve_fd(rel: &str, read_only: bool, cloexec: bool) -> (c_int, bool) {
+/// Does a read-only open of `rel` carry its path in its memfd name?
+fn named(rel: &str) -> bool {
+    RO_PREFIX.len() + rel.len() <= MFD_NAME_MAX
+}
+
+/// Make the memfd behind a PLFS open. A read-only open's carries its
+/// logical path in its name when that fits. The name is built on the stack
+/// — no allocation, nothing to unwrap.
+fn reserve_fd(rel: &str, read_only: bool, cloexec: bool) -> c_int {
     const CURSOR: &[u8] = b"ldplfs-cursor";
     let mut name = [0u8; MFD_NAME_MAX + 1];
-    let named = read_only && RO_PREFIX.len() + rel.len() <= MFD_NAME_MAX;
-    let (head, tail) = if named {
+    let (head, tail) = if read_only && named(rel) {
         (RO_PREFIX, rel.as_bytes())
     } else {
         (CURSOR, &b""[..])
@@ -450,20 +454,7 @@ fn reserve_fd(rel: &str, read_only: bool, cloexec: bool) -> (c_int, bool) {
         *dst = *src;
     }
     let flags = if cloexec { MFD_CLOEXEC } else { 0 };
-    let fd = unsafe { syscall(SYS_MEMFD_CREATE, name.as_ptr() as *const c_char, flags) };
-    (fd as c_int, named)
-}
-
-/// The state of a tracked fd. An fd can only be tracked once the shim
-/// exists, so this never initialises it: safe to call from `mmap`, which
-/// allocators call.
-fn lookup(fd: c_int) -> Option<Arc<OpenState>> {
-    let shim = SHIM.get()?.as_ref()?;
-    shim.table.read().get(&fd).cloned()
-}
-
-fn plfs_errno(e: &plfs::Error) -> c_int {
-    e.errno()
+    unsafe { syscall(SYS_MEMFD_CREATE, name.as_ptr() as *const c_char, flags) as c_int }
 }
 
 /// Stable fake inode per logical path (FNV-1a), so path-stat and
@@ -475,16 +466,6 @@ fn fake_ino(rel: &str) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h | 1
-}
-
-fn cursor_get(fd: c_int) -> OffT {
-    let f = real!(lseek, unsafe extern "C" fn(c_int, OffT, c_int) -> OffT);
-    unsafe { f(fd, 0, SEEK_CUR) }
-}
-
-fn cursor_set(fd: c_int, off: OffT) -> OffT {
-    let f = real!(lseek, unsafe extern "C" fn(c_int, OffT, c_int) -> OffT);
-    unsafe { f(fd, off, SEEK_SET) }
 }
 
 /// Size of the kernel file behind `fd`, from a raw `fstat` that cannot
@@ -504,54 +485,47 @@ fn kernel_size(fd: c_int) -> Option<u64> {
 /// as the file (filled by another process sharing it) is left alone, and a
 /// racing fill writes the same bytes at the same offsets. Writable fds are
 /// never filled: the copy would go stale at their next write.
-fn ensure_filled(fd: c_int, st: &OpenState) -> plfs::Result<()> {
-    if st.plfs_fd.flags().writable() || st.filled.load(Ordering::Acquire) {
+fn ensure_filled(fd: c_int, f: &OpenFile<AtomicBool>) -> PosixResult<()> {
+    if f.plfs_fd.flags().writable() || f.extra.load(Ordering::Acquire) {
         return Ok(());
     }
-    if kernel_size(fd).unwrap_or(0) < st.plfs_fd.size()? {
+    if kernel_size(fd).unwrap_or(0) < f.plfs_fd.size()? {
         let real_pwrite = real!(
             pwrite,
             unsafe extern "C" fn(c_int, *const c_void, SizeT, OffT) -> SsizeT
         );
-        let mut buf = vec![0u8; 1 << 20];
+        let mut chunk = vec![0u8; 1 << 20];
         let mut off = 0u64;
         loop {
-            let n = st.plfs_fd.read(&mut buf, off)?;
+            let n = f.plfs_fd.read(&mut chunk, off)?;
             if n == 0 {
                 break;
             }
             let mut done = 0usize;
             while done < n {
-                let rest = &buf[done..n];
+                let rest = &chunk[done..n];
                 let at = (off + done as u64) as OffT;
                 let w = unsafe { real_pwrite(fd, rest.as_ptr() as *const c_void, rest.len(), at) };
                 if w <= 0 {
                     // A short memfd write (ENOSPC/ENOMEM) must not leave a
                     // truncated copy marked as the whole file.
-                    return Err(plfs::Error::Io(std::io::Error::from_raw_os_error(ENOMEM)));
+                    return Err(Errno(ENOMEM));
                 }
                 done += w as usize;
             }
             off += n as u64;
         }
     }
-    // Release: the memfd holds the bytes before anyone sees `filled`.
-    st.filled.store(true, Ordering::Release);
+    // Release: the memfd holds the bytes before anyone sees the flag.
+    f.extra.store(true, Ordering::Release);
     Ok(())
 }
 
-/// Fill `fd` before it escapes the interposed symbols, if it is tracked;
-/// false, with errno set, when the fill fails.
-fn escape(fd: c_int) -> bool {
-    let Some(st) = lookup(fd) else {
-        return true;
-    };
-    match ensure_filled(fd, &st) {
-        Ok(()) => true,
-        Err(e) => {
-            set_errno(plfs_errno(&e));
-            false
-        }
+/// Fill `fd` before it escapes the interposed symbols, if it is a PLFS fd.
+fn escape(fd: c_int) -> PosixResult<()> {
+    match lookup(fd) {
+        Some((_, e)) => ensure_filled(fd, &e.file),
+        None => Ok(()),
     }
 }
 
@@ -564,46 +538,27 @@ unsafe fn do_open(path: *const c_char, flags: c_int, mode: ModeT) -> c_int {
         open,
         unsafe extern "C" fn(*const c_char, c_int, ModeT) -> c_int
     );
-    let Some(sh) = shim() else {
-        return untracked(real_open(path, flags, mode));
-    };
-    let Some(p) = cstr(path) else {
-        return untracked(real_open(path, flags, mode));
-    };
-    let Some(rel) = logical(sh, p) else {
-        return untracked(real_open(path, flags, mode));
-    };
-    // Translate flags (numeric values match plfs::OpenFlags on Linux).
-    let oflags = OpenFlags((flags & (O_ACCMODE | O_CREAT | O_EXCL | O_TRUNC | O_APPEND)) as u32);
-    let pid = getpid() as u64;
-    let pfd = match sh.plfs.open(&rel, oflags, pid) {
-        Ok(pfd) => pfd,
-        Err(e) => {
-            set_errno(plfs_errno(&e));
-            return -1;
-        }
-    };
-    let read_only = !oflags.writable();
-    let (fd, named) = reserve_fd(&rel, read_only, flags & O_CLOEXEC != 0);
-    if fd < 0 {
-        let _ = pfd.close(pid);
-        set_errno(ENOMEM);
-        return -1;
+    match cstr(path).and_then(route) {
+        None => untracked(real_open(path, flags, mode)),
+        Some(r) => cret(r.and_then(|(core, at)| open_plfs(core, at, flags))),
     }
-    let st = OpenState::new(pfd, &rel, flags & O_APPEND != 0);
-    // An exec'd process finds a read-only fd by its memfd name; one whose
-    // path did not fit is filled now instead.
-    if read_only && !named {
-        if let Err(e) = ensure_filled(fd, &st) {
-            let _ = st.plfs_fd.close(pid);
+}
+
+/// Open `at` through the core. An exec'd process finds a read-only fd by
+/// its memfd name; one whose path did not fit is filled now instead.
+fn open_plfs(core: &Core, at: At, flags: c_int) -> PosixResult<c_int> {
+    let flags = OpenFlags(flags as u32);
+    let fd = core.open(at, flags)?;
+    if !flags.writable() && !named(at.rel) {
+        if let Err(e) = escape(fd) {
+            let _ = core.forget(fd);
             let real_close = real!(close, unsafe extern "C" fn(c_int) -> c_int);
-            real_close(fd);
-            set_errno(plfs_errno(&e));
-            return -1;
+            // SAFETY: closes only the descriptor this open just reserved.
+            unsafe { real_close(fd) };
+            return Err(e);
         }
     }
-    track(sh, fd, st);
-    fd
+    Ok(fd)
 }
 
 /// `open(2)`.
@@ -662,29 +617,17 @@ pub unsafe extern "C" fn openat64(
 // data plane.
 // ---------------------------------------------------------------------------
 
-unsafe fn do_read(fd: c_int, buf: *mut c_void, count: SizeT) -> SsizeT {
+unsafe fn do_read(fd: c_int, b: *mut c_void, count: SizeT) -> SsizeT {
+    let real_read = real!(
+        read,
+        unsafe extern "C" fn(c_int, *mut c_void, SizeT) -> SsizeT
+    );
     match lookup(fd) {
-        None => {
-            let f = real!(
-                read,
-                unsafe extern "C" fn(c_int, *mut c_void, SizeT) -> SsizeT
-            );
-            f(fd, buf, count)
-        }
-        Some(st) => {
-            let slice = std::slice::from_raw_parts_mut(buf as *mut u8, count);
-            let off = cursor_get(fd);
-            match st.plfs_fd.read(slice, off as u64) {
-                Ok(n) => {
-                    cursor_set(fd, off + n as OffT);
-                    n as SsizeT
-                }
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
+        None => real_read(fd, b, count),
+        Some((core, e)) => cret(
+            core.read(fd, &e, buf_mut(b, count), None)
+                .map(|n| n as SsizeT),
+        ),
     }
 }
 
@@ -694,41 +637,14 @@ pub unsafe extern "C" fn read(fd: c_int, buf: *mut c_void, count: SizeT) -> Ssiz
     ffi_guard!(-1, do_read(fd, buf, count))
 }
 
-unsafe fn do_write(fd: c_int, buf: *const c_void, count: SizeT) -> SsizeT {
+unsafe fn do_write(fd: c_int, b: *const c_void, count: SizeT) -> SsizeT {
+    let real_write = real!(
+        write,
+        unsafe extern "C" fn(c_int, *const c_void, SizeT) -> SsizeT
+    );
     match lookup(fd) {
-        None => {
-            let f = real!(
-                write,
-                unsafe extern "C" fn(c_int, *const c_void, SizeT) -> SsizeT
-            );
-            f(fd, buf, count)
-        }
-        Some(st) => {
-            let slice = std::slice::from_raw_parts(buf as *const u8, count);
-            let pid = getpid() as u64;
-            // O_APPEND resolves EOF atomically inside PlfsFd::append —
-            // size()-then-write() would race concurrent appenders.
-            let (off, n) = if st.append {
-                match st.plfs_fd.append(slice, pid) {
-                    Ok((off, n)) => (off as OffT, n),
-                    Err(e) => {
-                        set_errno(plfs_errno(&e));
-                        return -1;
-                    }
-                }
-            } else {
-                let off = cursor_get(fd);
-                match st.plfs_fd.write(slice, off as u64, pid) {
-                    Ok(n) => (off, n),
-                    Err(e) => {
-                        set_errno(plfs_errno(&e));
-                        return -1;
-                    }
-                }
-            };
-            cursor_set(fd, off + n as OffT);
-            n as SsizeT
-        }
+        None => real_write(fd, b, count),
+        Some((core, e)) => cret(core.write(fd, &e, buf(b, count), None).map(|n| n as SsizeT)),
     }
 }
 
@@ -738,25 +654,18 @@ pub unsafe extern "C" fn write(fd: c_int, buf: *const c_void, count: SizeT) -> S
     ffi_guard!(-1, do_write(fd, buf, count))
 }
 
-unsafe fn do_pread(fd: c_int, buf: *mut c_void, count: SizeT, off: OffT) -> SsizeT {
+unsafe fn do_pread(fd: c_int, b: *mut c_void, count: SizeT, off: OffT) -> SsizeT {
+    let real_pread = real!(
+        pread,
+        unsafe extern "C" fn(c_int, *mut c_void, SizeT, OffT) -> SsizeT
+    );
     match lookup(fd) {
-        None => {
-            let f = real!(
-                pread,
-                unsafe extern "C" fn(c_int, *mut c_void, SizeT, OffT) -> SsizeT
-            );
-            f(fd, buf, count, off)
-        }
-        Some(st) => {
-            let slice = std::slice::from_raw_parts_mut(buf as *mut u8, count);
-            match st.plfs_fd.read(slice, off as u64) {
-                Ok(n) => n as SsizeT,
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
+        None => real_pread(fd, b, count, off),
+        Some((core, e)) => cret(
+            offset(off)
+                .and_then(|off| core.read(fd, &e, buf_mut(b, count), Some(off)))
+                .map(|n| n as SsizeT),
+        ),
     }
 }
 
@@ -772,25 +681,18 @@ pub unsafe extern "C" fn pread64(fd: c_int, buf: *mut c_void, count: SizeT, off:
     ffi_guard!(-1, do_pread(fd, buf, count, off))
 }
 
-unsafe fn do_pwrite(fd: c_int, buf: *const c_void, count: SizeT, off: OffT) -> SsizeT {
+unsafe fn do_pwrite(fd: c_int, b: *const c_void, count: SizeT, off: OffT) -> SsizeT {
+    let real_pwrite = real!(
+        pwrite,
+        unsafe extern "C" fn(c_int, *const c_void, SizeT, OffT) -> SsizeT
+    );
     match lookup(fd) {
-        None => {
-            let f = real!(
-                pwrite,
-                unsafe extern "C" fn(c_int, *const c_void, SizeT, OffT) -> SsizeT
-            );
-            f(fd, buf, count, off)
-        }
-        Some(st) => {
-            let slice = std::slice::from_raw_parts(buf as *const u8, count);
-            match st.plfs_fd.write(slice, off as u64, getpid() as u64) {
-                Ok(n) => n as SsizeT,
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
+        None => real_pwrite(fd, b, count, off),
+        Some((core, e)) => cret(
+            offset(off)
+                .and_then(|off| core.write(fd, &e, buf(b, count), Some(off)))
+                .map(|n| n as SsizeT),
+        ),
     }
 }
 
@@ -812,10 +714,9 @@ pub unsafe extern "C" fn pwrite64(
 }
 
 // ---------------------------------------------------------------------------
-// vectored I/O. On a tracked fd the iovecs are gathered (writes) or
-// scattered (reads) around ONE PlfsFd list call, so an N-buffer vector
-// costs one index record instead of N. Untracked fds forward to the real
-// libc symbols.
+// vectored I/O. On a PLFS fd the core serves the whole vector with ONE
+// PlfsFd list call, so an N-buffer vector costs one index record instead of
+// N. Other fds forward to the real libc symbols.
 // ---------------------------------------------------------------------------
 
 /// `struct iovec` (uapi layout).
@@ -827,82 +728,72 @@ pub struct IoVec {
     pub iov_len: SizeT,
 }
 
-/// Total byte count of an iovec array; `None` on invalid count/pointer or
-/// length overflow (POSIX caps the sum at `SSIZE_MAX`).
-unsafe fn iov_total(iov: *const IoVec, cnt: c_int) -> Option<usize> {
-    if cnt < 0 || (cnt > 0 && iov.is_null()) {
-        return None;
+impl std::ops::Deref for IoVec {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        // SAFETY: `iovs` admitted this iovec from a caller's array.
+        unsafe { buf(self.iov_base, self.iov_len) }
     }
-    let mut total = 0usize;
-    for v in std::slice::from_raw_parts(iov, cnt as usize) {
-        total = total.checked_add(v.iov_len)?;
-    }
-    if total > isize::MAX as usize {
-        return None;
-    }
-    Some(total)
 }
 
-unsafe fn gather_iov(iov: *const IoVec, cnt: c_int, total: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(total);
-    for v in std::slice::from_raw_parts(iov, cnt as usize) {
-        if v.iov_len != 0 {
-            out.extend_from_slice(std::slice::from_raw_parts(
-                v.iov_base as *const u8,
-                v.iov_len,
-            ));
-        }
+impl std::ops::DerefMut for IoVec {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as for `deref`.
+        unsafe { buf_mut(self.iov_base, self.iov_len) }
     }
-    out
 }
 
-unsafe fn scatter_iov(iov: *const IoVec, cnt: c_int, data: &[u8]) {
-    let mut pos = 0usize;
-    for v in std::slice::from_raw_parts(iov, cnt as usize) {
-        if pos >= data.len() {
-            break;
-        }
-        let take = v.iov_len.min(data.len() - pos);
-        std::ptr::copy_nonoverlapping(data[pos..].as_ptr(), v.iov_base as *mut u8, take);
-        pos += take;
+/// A C iovec array as a slice; `EINVAL` for a negative count, a null
+/// array, or lengths summing past `SSIZE_MAX`.
+///
+/// # Safety
+/// A non-null `iov` must hold `cnt` iovecs whose buffers are valid and
+/// writable for the returned lifetime, as `readv(2)` callers promise.
+unsafe fn iovs<'a>(iov: *const IoVec, cnt: c_int) -> PosixResult<&'a mut [IoVec]> {
+    let Ok(cnt) = usize::try_from(cnt) else {
+        return Err(Errno::EINVAL);
+    };
+    if cnt == 0 {
+        return Ok(&mut []);
     }
+    if iov.is_null() {
+        return Err(Errno::EINVAL);
+    }
+    let v = std::slice::from_raw_parts_mut(iov as *mut IoVec, cnt);
+    let total = v.iter().try_fold(0usize, |t, v| t.checked_add(v.iov_len));
+    match total {
+        Some(t) if t <= isize::MAX as usize => Ok(v),
+        _ => Err(Errno::EINVAL),
+    }
+}
+
+/// A vectored read (`read`) or write through the core at `at` (`None`: the
+/// cursor), if `fd` is a PLFS fd.
+///
+/// # Safety
+/// As for [`iovs`].
+unsafe fn vectored(
+    fd: c_int,
+    iov: *const IoVec,
+    cnt: c_int,
+    at: PosixResult<Option<u64>>,
+    read: bool,
+) -> Option<SsizeT> {
+    let (core, e) = lookup(fd)?;
+    let r = at.and_then(|at| match (iovs(iov, cnt)?, read) {
+        (v, true) => core.readv(fd, &e, v, at),
+        (v, false) => core.writev(fd, &e, v, at),
+    });
+    Some(cret(r.map(|n| n as SsizeT)))
 }
 
 unsafe fn do_readv(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
-    match lookup(fd) {
-        None => {
-            let f = real!(
-                readv,
-                unsafe extern "C" fn(c_int, *const IoVec, c_int) -> SsizeT
-            );
-            f(fd, iov, cnt)
-        }
-        Some(st) => {
-            let Some(total) = iov_total(iov, cnt) else {
-                set_errno(EINVAL);
-                return -1;
-            };
-            if total == 0 {
-                return 0;
-            }
-            let off = cursor_get(fd);
-            let mut data = vec![0u8; total];
-            match st
-                .plfs_fd
-                .read_list(&mut data, &[(off as u64, total as u64)])
-            {
-                Ok(n) => {
-                    scatter_iov(iov, cnt, &data[..n]);
-                    cursor_set(fd, off + n as OffT);
-                    n as SsizeT
-                }
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
-    }
+    let f = real!(
+        readv,
+        unsafe extern "C" fn(c_int, *const IoVec, c_int) -> SsizeT
+    );
+    vectored(fd, iov, cnt, Ok(None), true).unwrap_or_else(|| f(fd, iov, cnt))
 }
 
 /// `readv(2)`.
@@ -912,49 +803,11 @@ pub unsafe extern "C" fn readv(fd: c_int, iov: *const IoVec, cnt: c_int) -> Ssiz
 }
 
 unsafe fn do_writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> SsizeT {
-    match lookup(fd) {
-        None => {
-            let f = real!(
-                writev,
-                unsafe extern "C" fn(c_int, *const IoVec, c_int) -> SsizeT
-            );
-            f(fd, iov, cnt)
-        }
-        Some(st) => {
-            let Some(total) = iov_total(iov, cnt) else {
-                set_errno(EINVAL);
-                return -1;
-            };
-            if total == 0 {
-                return 0;
-            }
-            let data = gather_iov(iov, cnt, total);
-            let pid = getpid() as u64;
-            let (off, n) = if st.append {
-                match st.plfs_fd.append(&data, pid) {
-                    Ok((off, n)) => (off as OffT, n),
-                    Err(e) => {
-                        set_errno(plfs_errno(&e));
-                        return -1;
-                    }
-                }
-            } else {
-                let off = cursor_get(fd);
-                match st
-                    .plfs_fd
-                    .write_list(&data, &[(off as u64, total as u64)], pid)
-                {
-                    Ok(n) => (off, n),
-                    Err(e) => {
-                        set_errno(plfs_errno(&e));
-                        return -1;
-                    }
-                }
-            };
-            cursor_set(fd, off + n as OffT);
-            n as SsizeT
-        }
-    }
+    let f = real!(
+        writev,
+        unsafe extern "C" fn(c_int, *const IoVec, c_int) -> SsizeT
+    );
+    vectored(fd, iov, cnt, Ok(None), false).unwrap_or_else(|| f(fd, iov, cnt))
 }
 
 /// `writev(2)`.
@@ -964,41 +817,11 @@ pub unsafe extern "C" fn writev(fd: c_int, iov: *const IoVec, cnt: c_int) -> Ssi
 }
 
 unsafe fn do_preadv(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
-    match lookup(fd) {
-        None => {
-            let f = real!(
-                preadv,
-                unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT) -> SsizeT
-            );
-            f(fd, iov, cnt, off)
-        }
-        Some(st) => {
-            let total = match iov_total(iov, cnt) {
-                Some(t) if off >= 0 => t,
-                _ => {
-                    set_errno(EINVAL);
-                    return -1;
-                }
-            };
-            if total == 0 {
-                return 0;
-            }
-            let mut data = vec![0u8; total];
-            match st
-                .plfs_fd
-                .read_list(&mut data, &[(off as u64, total as u64)])
-            {
-                Ok(n) => {
-                    scatter_iov(iov, cnt, &data[..n]);
-                    n as SsizeT
-                }
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
-    }
+    let f = real!(
+        preadv,
+        unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT) -> SsizeT
+    );
+    vectored(fd, iov, cnt, offset(off).map(Some), true).unwrap_or_else(|| f(fd, iov, cnt, off))
 }
 
 /// `preadv(2)`.
@@ -1014,38 +837,11 @@ pub unsafe extern "C" fn preadv64(fd: c_int, iov: *const IoVec, cnt: c_int, off:
 }
 
 unsafe fn do_pwritev(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT) -> SsizeT {
-    match lookup(fd) {
-        None => {
-            let f = real!(
-                pwritev,
-                unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT) -> SsizeT
-            );
-            f(fd, iov, cnt, off)
-        }
-        Some(st) => {
-            let total = match iov_total(iov, cnt) {
-                Some(t) if off >= 0 => t,
-                _ => {
-                    set_errno(EINVAL);
-                    return -1;
-                }
-            };
-            if total == 0 {
-                return 0;
-            }
-            let data = gather_iov(iov, cnt, total);
-            match st
-                .plfs_fd
-                .write_list(&data, &[(off as u64, total as u64)], getpid() as u64)
-            {
-                Ok(n) => n as SsizeT,
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
-    }
+    let f = real!(
+        pwritev,
+        unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT) -> SsizeT
+    );
+    vectored(fd, iov, cnt, offset(off).map(Some), false).unwrap_or_else(|| f(fd, iov, cnt, off))
 }
 
 /// `pwritev(2)`.
@@ -1060,22 +856,15 @@ pub unsafe extern "C" fn pwritev64(fd: c_int, iov: *const IoVec, cnt: c_int, off
     ffi_guard!(-1, do_pwritev(fd, iov, cnt, off))
 }
 
-/// `preadv2(2)` dispatch: offset `-1` means cursor (`readv`) semantics;
+/// `preadv2(2)` dispatch: the core's offset rule (`-1` is the cursor);
 /// `RWF_*` flags are accepted and ignored on the PLFS path.
-// plfs-lint: allow(errno-discipline, "pure dispatch: do_readv/do_preadv set errno on their own -1 returns")
 unsafe fn do_preadv2(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT, flags: c_int) -> SsizeT {
-    if lookup(fd).is_none() {
-        let f = real!(
-            preadv2,
-            unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT, c_int) -> SsizeT
-        );
-        return f(fd, iov, cnt, off, flags);
-    }
-    if off == -1 {
-        do_readv(fd, iov, cnt)
-    } else {
-        do_preadv(fd, iov, cnt, off)
-    }
+    let f = real!(
+        preadv2,
+        unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT, c_int) -> SsizeT
+    );
+    vectored(fd, iov, cnt, ldplfs::posix::v2_offset(off), true)
+        .unwrap_or_else(|| f(fd, iov, cnt, off, flags))
 }
 
 /// `preadv2(2)`.
@@ -1102,20 +891,13 @@ pub unsafe extern "C" fn preadv64v2(
     ffi_guard!(-1, do_preadv2(fd, iov, cnt, off, flags))
 }
 
-// plfs-lint: allow(errno-discipline, "pure dispatch: do_writev/do_pwritev set errno on their own -1 returns")
 unsafe fn do_pwritev2(fd: c_int, iov: *const IoVec, cnt: c_int, off: OffT, flags: c_int) -> SsizeT {
-    if lookup(fd).is_none() {
-        let f = real!(
-            pwritev2,
-            unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT, c_int) -> SsizeT
-        );
-        return f(fd, iov, cnt, off, flags);
-    }
-    if off == -1 {
-        do_writev(fd, iov, cnt)
-    } else {
-        do_pwritev(fd, iov, cnt, off)
-    }
+    let f = real!(
+        pwritev2,
+        unsafe extern "C" fn(c_int, *const IoVec, c_int, OffT, c_int) -> SsizeT
+    );
+    vectored(fd, iov, cnt, ldplfs::posix::v2_offset(off), false)
+        .unwrap_or_else(|| f(fd, iov, cnt, off, flags))
 }
 
 /// `pwritev2(2)`.
@@ -1142,31 +924,22 @@ pub unsafe extern "C" fn pwritev64v2(
     ffi_guard!(-1, do_pwritev2(fd, iov, cnt, off, flags))
 }
 
-unsafe fn do_lseek(fd: c_int, offset: OffT, whence: c_int) -> OffT {
-    match lookup(fd) {
-        None => {
-            let f = real!(lseek, unsafe extern "C" fn(c_int, OffT, c_int) -> OffT);
-            f(fd, offset, whence)
-        }
-        Some(st) => {
-            // SEEK_END needs the logical PLFS size; SET/CUR ride the
-            // reserved fd's kernel cursor directly (the paper's trick).
-            let target = match whence {
-                SEEK_SET => offset,
-                SEEK_CUR => cursor_get(fd) + offset,
-                SEEK_END => st.plfs_fd.size().unwrap_or(0) as OffT + offset,
-                _ => {
-                    set_errno(EINVAL);
-                    return -1;
-                }
-            };
-            if target < 0 {
-                set_errno(EINVAL);
-                return -1;
-            }
-            cursor_set(fd, target)
-        }
-    }
+unsafe fn do_lseek(fd: c_int, off: OffT, whence: c_int) -> OffT {
+    let real_lseek = real!(lseek, unsafe extern "C" fn(c_int, OffT, c_int) -> OffT);
+    let Some((core, e)) = lookup(fd) else {
+        return real_lseek(fd, off, whence);
+    };
+    let whence = match whence {
+        SEEK_SET => Ok(Whence::Set),
+        SEEK_CUR => Ok(Whence::Cur),
+        SEEK_END => Ok(Whence::End),
+        _ => Err(Errno::EINVAL),
+    };
+    cret(
+        whence
+            .and_then(|w| core.lseek(fd, &e, off, w))
+            .map(|o| o as OffT),
+    )
 }
 
 /// `lseek(2)`.
@@ -1181,20 +954,18 @@ pub unsafe extern "C" fn lseek64(fd: c_int, offset: OffT, whence: c_int) -> OffT
     ffi_guard!(-1, do_lseek(fd, offset, whence))
 }
 
-/// Drop `fd`'s entry and its reference on the PLFS open: the bookkeeping
-/// half of `close`, also run by `fclose`, which closes inside glibc.
-fn forget(fd: c_int) {
-    let Some(Some(sh)) = SHIM.get() else {
-        return;
-    };
-    // Most fds were never tracked: the shared lock settles those.
-    if !sh.table.read().contains_key(&fd) {
-        return;
-    }
-    let state = sh.table.write().remove(&fd);
-    if let Some(st) = state {
-        // A dup still holding the PLFS open keeps its own reference.
-        let _ = st.plfs_fd.close(unsafe { getpid() } as u64);
+/// Drop `fd`'s entry and release its PLFS reference: the bookkeeping half
+/// of `close`, also run by `fclose`, which closes inside glibc.
+fn forget(fd: c_int) -> Option<PosixResult<()>> {
+    core()?.forget(fd)
+}
+
+/// A close's return: the real close's, unless that succeeded while the
+/// PLFS half failed.
+fn closed(plfs: Option<PosixResult<()>>, real: c_int) -> c_int {
+    match plfs {
+        Some(Err(e)) if real == 0 => cret(Err(e)),
+        _ => real,
     }
 }
 
@@ -1204,27 +975,15 @@ fn forget(fd: c_int) {
 /// reads to a container, so it is dropped.
 fn untracked(fd: c_int) -> c_int {
     if fd >= 0 {
-        forget(fd);
+        let _ = forget(fd);
     }
     fd
 }
 
-/// Track `fd` as `st`. An entry left for the number (its fd was closed
-/// where the shim could not see it) is forgotten. Its state drops only
-/// after the table lock is released: dropping the last reference to a PLFS
-/// open closes its droppings through the interposed `close`, which takes
-/// the lock.
-fn track(sh: &Shim, fd: c_int, st: Arc<OpenState>) {
-    let stale = sh.table.write().insert(fd, st);
-    if let Some(old) = stale {
-        let _ = old.plfs_fd.close(unsafe { getpid() } as u64);
-    }
-}
-
 unsafe fn do_close(fd: c_int) -> c_int {
     let real_close = real!(close, unsafe extern "C" fn(c_int) -> c_int);
-    forget(fd);
-    real_close(fd)
+    let plfs = forget(fd);
+    closed(plfs, real_close(fd))
 }
 
 /// `close(2)`.
@@ -1234,18 +993,10 @@ pub unsafe extern "C" fn close(fd: c_int) -> c_int {
 }
 
 unsafe fn do_fsync(fd: c_int) -> c_int {
+    let real_fsync = real!(fsync, unsafe extern "C" fn(c_int) -> c_int);
     match lookup(fd) {
-        None => {
-            let f = real!(fsync, unsafe extern "C" fn(c_int) -> c_int);
-            f(fd)
-        }
-        Some(st) => match st.plfs_fd.sync(getpid() as u64) {
-            Ok(()) => 0,
-            Err(e) => {
-                set_errno(plfs_errno(&e));
-                -1
-            }
-        },
+        None => real_fsync(fd),
+        Some((core, e)) => cret(core.fsync(&e).map(|()| 0)),
     }
 }
 
@@ -1263,6 +1014,14 @@ pub unsafe extern "C" fn fdatasync(fd: c_int) -> c_int {
     ffi_guard!(-1, do_fsync(fd))
 }
 
+/// The core's bookkeeping after a real `dup`, `dup2`, `dup3` or
+/// `fcntl(F_DUPFD*)` succeeded.
+fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
+    if let Some(core) = core() {
+        core.dup(oldfd, newfd);
+    }
+}
+
 unsafe fn do_dup(fd: c_int) -> c_int {
     let real_dup = real!(dup, unsafe extern "C" fn(c_int) -> c_int);
     let new = real_dup(fd);
@@ -1276,27 +1035,6 @@ unsafe fn do_dup(fd: c_int) -> c_int {
 #[no_mangle]
 pub unsafe extern "C" fn dup(fd: c_int) -> c_int {
     ffi_guard!(-1, do_dup(fd))
-}
-
-/// Shared fd-table bookkeeping after a real `dup`, `dup2`, `dup3` or
-/// `fcntl(F_DUPFD*)` succeeded: newfd drops any previous identity, then
-/// inherits oldfd's container state. `dup2(fd, fd)` changes nothing. Only
-/// a tracked fd has state, and tracking implies the shim exists, so this
-/// never initialises it.
-fn dup_bookkeeping(oldfd: c_int, newfd: c_int) {
-    if oldfd == newfd {
-        return;
-    }
-    let Some(Some(sh)) = SHIM.get() else {
-        return;
-    };
-    match lookup(oldfd) {
-        Some(st) => {
-            st.plfs_fd.add_ref(unsafe { getpid() } as u64);
-            track(sh, newfd, st);
-        }
-        None => forget(newfd),
-    }
 }
 
 unsafe fn do_dup2(oldfd: c_int, newfd: c_int) -> c_int {
@@ -1388,105 +1126,74 @@ pub struct CStat {
 const S_IFREG: u32 = 0o100000;
 const S_IFDIR: u32 = 0o040000;
 
-unsafe fn fill_stat(out: *mut CStat, size: u64, is_dir: bool, ino: u64) {
-    std::ptr::write_bytes(out as *mut u8, 0, std::mem::size_of::<CStat>());
-    let st = &mut *out;
-    st.st_mode = if is_dir {
+fn mode(is_dir: bool) -> u32 {
+    if is_dir {
         S_IFDIR | 0o755
     } else {
         S_IFREG | 0o644
-    };
+    }
+}
+
+unsafe fn fill_stat(out: *mut CStat, size: u64, is_dir: bool, ino: u64) -> c_int {
+    std::ptr::write_bytes(out as *mut u8, 0, std::mem::size_of::<CStat>());
+    let st = &mut *out;
+    st.st_mode = mode(is_dir);
     st.st_nlink = 1;
     st.st_size = size as i64;
     st.st_blksize = 4096;
     st.st_blocks = (size as i64 + 511) / 512;
     st.st_ino = ino;
+    0
 }
 
-unsafe fn do_stat(path: *const c_char, out: *mut CStat) -> c_int {
-    let real_stat = real!(
-        stat,
-        unsafe extern "C" fn(*const c_char, *mut CStat) -> c_int
-    );
-    let Some(sh) = shim() else {
-        return real_stat(path, out);
-    };
-    let Some(p) = cstr(path) else {
-        return real_stat(path, out);
-    };
-    let Some(rel) = logical(sh, p) else {
-        return real_stat(path, out);
-    };
-    if rel == "/" {
-        fill_stat(out, 0, true, 1);
-        return 0;
-    }
-    match sh.plfs.getattr(&rel) {
-        Ok(st) => {
-            fill_stat(out, st.size, st.is_dir, fake_ino(&rel));
-            0
-        }
-        Err(e) => {
-            set_errno(plfs_errno(&e));
-            -1
-        }
+/// `stat` (`follow`) or `lstat`: containers have no symlinks, so within the
+/// mount the two are the same.
+unsafe fn do_stat(path: *const c_char, out: *mut CStat, follow: bool) -> c_int {
+    type Stat = unsafe extern "C" fn(*const c_char, *mut CStat) -> c_int;
+    let real_stat = real!(stat, Stat);
+    let real_lstat = real!(lstat, Stat);
+    match cstr(path).and_then(route) {
+        None if follow => real_stat(path, out),
+        None => real_lstat(path, out),
+        Some(r) => cret(r.and_then(|(core, at)| {
+            let st = core.stat(at)?;
+            Ok(fill_stat(out, st.size, st.is_dir, fake_ino(at.rel)))
+        })),
     }
 }
 
 /// `stat(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn stat(path: *const c_char, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, do_stat(path, out))
+    ffi_guard!(-1, do_stat(path, out, true))
 }
 
 /// `stat64(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn stat64(path: *const c_char, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, do_stat(path, out))
+    ffi_guard!(-1, do_stat(path, out, true))
 }
 
-unsafe fn do_lstat(path: *const c_char, out: *mut CStat) -> c_int {
-    let real_lstat = real!(
-        lstat,
-        unsafe extern "C" fn(*const c_char, *mut CStat) -> c_int
-    );
-    let Some(sh) = shim() else {
-        return real_lstat(path, out);
-    };
-    match cstr(path).and_then(|p| logical(sh, p)) {
-        Some(_) => do_stat(path, out),
-        None => real_lstat(path, out),
-    }
-}
-
-/// `lstat(2)` — containers have no symlinks; same as stat within the mount.
+/// `lstat(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn lstat(path: *const c_char, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, do_lstat(path, out))
+    ffi_guard!(-1, do_stat(path, out, false))
 }
 
 /// `lstat64(2)`.
 #[no_mangle]
 pub unsafe extern "C" fn lstat64(path: *const c_char, out: *mut CStat) -> c_int {
-    ffi_guard!(-1, do_lstat(path, out))
+    ffi_guard!(-1, do_stat(path, out, false))
 }
 
 unsafe fn do_fstat(fd: c_int, out: *mut CStat) -> c_int {
+    let real_fstat = real!(fstat, unsafe extern "C" fn(c_int, *mut CStat) -> c_int);
     match lookup(fd) {
-        None => {
-            let f = real!(fstat, unsafe extern "C" fn(c_int, *mut CStat) -> c_int);
-            f(fd, out)
+        None => real_fstat(fd, out),
+        Some((core, e)) => {
+            let ino = fake_ino(&e.file.logical);
+            cret(core.fstat(&e).map(|st| fill_stat(out, st.size, false, ino)))
         }
-        Some(st) => match st.plfs_fd.size() {
-            Ok(size) => {
-                fill_stat(out, size, false, st.ino);
-                0
-            }
-            Err(e) => {
-                set_errno(plfs_errno(&e));
-                -1
-            }
-        },
     }
 }
 
@@ -1503,20 +1210,15 @@ pub unsafe extern "C" fn fstat64(fd: c_int, out: *mut CStat) -> c_int {
 }
 
 unsafe fn do_fstatat(dirfd: c_int, path: *const c_char, out: *mut CStat, flags: c_int) -> c_int {
-    // Resolve the next-in-chain symbol before the logical-path probe: the
-    // probe allocates (logical returns an owned String), which is off the
-    // table while this symbol is still unresolved.
+    // Resolve the next-in-chain symbol before the mount probe: the probe
+    // may initialise the shim, which allocates.
     let f = real!(
         fstatat,
         unsafe extern "C" fn(c_int, *const c_char, *mut CStat, c_int) -> c_int
     );
     let absolute = cstr(path).map(|p| p.starts_with('/')).unwrap_or(false);
-    if dirfd == AT_FDCWD || absolute {
-        if let Some(sh) = shim() {
-            if cstr(path).and_then(|p| logical(sh, p)).is_some() {
-                return do_stat(path, out);
-            }
-        }
+    if (dirfd == AT_FDCWD || absolute) && cstr(path).and_then(route).is_some() {
+        return do_stat(path, out, true);
     }
     f(dirfd, path, out, flags)
 }
@@ -1545,18 +1247,9 @@ pub unsafe extern "C" fn newfstatat(
 
 unsafe fn do_unlink(path: *const c_char) -> c_int {
     let real_unlink = real!(unlink, unsafe extern "C" fn(*const c_char) -> c_int);
-    let Some(sh) = shim() else {
-        return real_unlink(path);
-    };
-    match cstr(path).and_then(|p| logical(sh, p)) {
+    match cstr(path).and_then(route) {
         None => real_unlink(path),
-        Some(rel) => match sh.plfs.unlink(&rel) {
-            Ok(()) => 0,
-            Err(e) => {
-                set_errno(plfs_errno(&e));
-                -1
-            }
-        },
+        Some(r) => cret(r.and_then(|(core, at)| core.unlink(at)).map(|()| 0)),
     }
 }
 
@@ -1596,23 +1289,9 @@ pub unsafe extern "C" fn unlinkat(dirfd: c_int, path: *const c_char, flags: c_in
 
 unsafe fn do_access(path: *const c_char, amode: c_int) -> c_int {
     let real_access = real!(access, unsafe extern "C" fn(*const c_char, c_int) -> c_int);
-    let Some(sh) = shim() else {
-        return real_access(path, amode);
-    };
-    match cstr(path).and_then(|p| logical(sh, p)) {
+    match cstr(path).and_then(route) {
         None => real_access(path, amode),
-        Some(rel) => {
-            if rel == "/" {
-                return 0;
-            }
-            match sh.plfs.access(&rel) {
-                Ok(()) => 0,
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
+        Some(r) => cret(r.and_then(|(core, at)| core.access(at)).map(|()| 0)),
     }
 }
 
@@ -1624,18 +1303,9 @@ pub unsafe extern "C" fn access(path: *const c_char, amode: c_int) -> c_int {
 
 unsafe fn do_mkdir(path: *const c_char, mode: ModeT) -> c_int {
     let real_mkdir = real!(mkdir, unsafe extern "C" fn(*const c_char, ModeT) -> c_int);
-    let Some(sh) = shim() else {
-        return real_mkdir(path, mode);
-    };
-    match cstr(path).and_then(|p| logical(sh, p)) {
+    match cstr(path).and_then(route) {
         None => real_mkdir(path, mode),
-        Some(rel) => match sh.plfs.mkdir(&rel) {
-            Ok(()) => 0,
-            Err(e) => {
-                set_errno(plfs_errno(&e));
-                -1
-            }
-        },
+        Some(r) => cret(r.and_then(|(core, at)| core.mkdir(at)).map(|()| 0)),
     }
 }
 
@@ -1647,18 +1317,9 @@ pub unsafe extern "C" fn mkdir(path: *const c_char, mode: ModeT) -> c_int {
 
 unsafe fn do_rmdir(path: *const c_char) -> c_int {
     let real_rmdir = real!(rmdir, unsafe extern "C" fn(*const c_char) -> c_int);
-    let Some(sh) = shim() else {
-        return real_rmdir(path);
-    };
-    match cstr(path).and_then(|p| logical(sh, p)) {
+    match cstr(path).and_then(route) {
         None => real_rmdir(path),
-        Some(rel) => match sh.plfs.rmdir(&rel) {
-            Ok(()) => 0,
-            Err(e) => {
-                set_errno(plfs_errno(&e));
-                -1
-            }
-        },
+        Some(r) => cret(r.and_then(|(core, at)| core.rmdir(at)).map(|()| 0)),
     }
 }
 
@@ -1669,62 +1330,25 @@ pub unsafe extern "C" fn rmdir(path: *const c_char) -> c_int {
 }
 
 unsafe fn do_ftruncate(fd: c_int, len: OffT) -> c_int {
+    let real_ftruncate = real!(ftruncate, unsafe extern "C" fn(c_int, OffT) -> c_int);
     match lookup(fd) {
-        None => {
-            let f = real!(ftruncate, unsafe extern "C" fn(c_int, OffT) -> c_int);
-            f(fd, len)
-        }
-        Some(st) => {
-            if len < 0 {
-                set_errno(EINVAL);
-                return -1;
-            }
-            // Quiesce, then rewrite via the container truncate path.
-            if st.plfs_fd.reset_writers().is_err() {
-                set_errno(EBADF);
-                return -1;
-            }
-            let Some(sh) = shim() else {
-                set_errno(EBADF);
-                return -1;
-            };
-            // Container path is backend-relative == logical path here.
-            let path = st.plfs_fd.container_path().to_string();
-            match sh.plfs.trunc(&path, len as u64) {
-                Ok(()) => 0,
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
+        None => real_ftruncate(fd, len),
+        Some((core, e)) => cret(
+            offset(len)
+                .and_then(|len| core.ftruncate(&e, len))
+                .map(|()| 0),
+        ),
     }
 }
 
 unsafe fn do_truncate(path: *const c_char, len: OffT) -> c_int {
     let real_truncate = real!(truncate, unsafe extern "C" fn(*const c_char, OffT) -> c_int);
-    let Some(sh) = shim() else {
-        return real_truncate(path, len);
-    };
-    match cstr(path).and_then(|p| logical(sh, p)) {
+    match cstr(path).and_then(route) {
         None => real_truncate(path, len),
-        Some(rel) => {
-            if len < 0 {
-                set_errno(EINVAL);
-                return -1;
-            }
-            // Path-based truncate of a container. Unlike do_ftruncate
-            // there is no fd whose writers need quiescing: an unopened (or
-            // other-process) container is rewritten directly, same as the
-            // kernel truncates a file nobody has open.
-            match sh.plfs.trunc(&rel, len as u64) {
-                Ok(()) => 0,
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    -1
-                }
-            }
-        }
+        Some(r) => cret(
+            r.and_then(|(core, at)| core.truncate(at, offset(len)?))
+                .map(|()| 0),
+        ),
     }
 }
 
@@ -1755,7 +1379,7 @@ pub unsafe extern "C" fn ftruncate64(fd: c_int, len: OffT) -> c_int {
 // ---------------------------------------------------------------------------
 // stdio entry points: glibc's fopen does NOT route through the exported
 // `open` symbol, so tools like md5sum and grep need fopen itself
-// interposed. Read modes open a tracked fd and fill it (stdio I/O then runs
+// interposed. Read modes open a PLFS fd and fill it (stdio I/O then runs
 // natively on the memfd); write modes are not supported through stdio and
 // fall through to the real fopen (which fails cleanly, since the mount
 // path does not exist on the real file system).
@@ -1766,26 +1390,21 @@ unsafe fn do_fopen(path: *const c_char, mode: *const c_char) -> *mut c_void {
         fopen,
         unsafe extern "C" fn(*const c_char, *const c_char) -> *mut c_void
     );
-    // glibc's fopen opens internally: drop a stale entry for its fd.
-    let passthrough = || {
+    let read_only = cstr(mode).is_some_and(|m| m.starts_with('r') && !m.contains('+'));
+    if !read_only || cstr(path).and_then(route).is_none() {
+        // Outside the mount, or unsupported: stdio writes into the mount
+        // (see module docs). glibc's fopen opens internally: drop a stale
+        // entry for its fd.
         let fp = real_fopen(path, mode);
         if !fp.is_null() {
             untracked(fileno(fp));
         }
-        fp
-    };
-    let Some(sh) = shim() else {
-        return passthrough();
-    };
-    let (Some(p), Some(m)) = (cstr(path), cstr(mode)) else {
-        return passthrough();
-    };
-    if logical(sh, p).is_none() || !m.starts_with('r') || m.contains('+') {
-        // Outside the mount, or unsupported: stdio writes into the mount
-        // (see module docs).
-        return passthrough();
+        return fp;
     }
-    let cloexec = if m.contains('e') { O_CLOEXEC } else { 0 };
+    let cloexec = match cstr(mode).is_some_and(|m| m.contains('e')) {
+        true => O_CLOEXEC,
+        false => 0,
+    };
     let fd = do_open(path, cloexec, 0);
     if fd < 0 {
         return std::ptr::null_mut();
@@ -1816,10 +1435,13 @@ unsafe fn do_fdopen(fd: c_int, mode: *const c_char) -> *mut c_void {
         fdopen,
         unsafe extern "C" fn(c_int, *const c_char) -> *mut c_void
     );
-    if !escape(fd) {
-        return std::ptr::null_mut();
+    match escape(fd) {
+        Ok(()) => real_fdopen(fd, mode),
+        Err(e) => {
+            set_errno(e.0);
+            std::ptr::null_mut()
+        }
     }
-    real_fdopen(fd, mode)
 }
 
 /// `fdopen(3)`: stdio reads the fd inside glibc, so it escapes.
@@ -1830,10 +1452,12 @@ pub unsafe extern "C" fn fdopen(fd: c_int, mode: *const c_char) -> *mut c_void {
 
 unsafe fn do_fclose(fp: *mut c_void) -> c_int {
     let real_fclose = real!(fclose, unsafe extern "C" fn(*mut c_void) -> c_int);
-    if !fp.is_null() {
-        forget(fileno(fp));
-    }
-    real_fclose(fp)
+    let plfs = if fp.is_null() {
+        None
+    } else {
+        forget(fileno(fp))
+    };
+    closed(plfs, real_fclose(fp))
 }
 
 /// `fclose(3)`: glibc closes the fd internally, so its entry is dropped
@@ -1862,10 +1486,13 @@ unsafe fn do_mmap(
         mmap,
         unsafe extern "C" fn(*mut c_void, SizeT, c_int, c_int, c_int, OffT) -> *mut c_void
     );
-    // Allocators call mmap: anonymous and untracked maps neither initialise
+    // Allocators call mmap: anonymous and other maps neither initialise
     // the shim nor allocate (`lookup` only reads an existing table).
-    if flags & MAP_ANONYMOUS == 0 && !escape(fd) {
-        return MAP_FAILED;
+    if flags & MAP_ANONYMOUS == 0 {
+        if let Err(e) = escape(fd) {
+            set_errno(e.0);
+            return MAP_FAILED;
+        }
     }
     real_mmap(addr, len, prot, flags, fd, off)
 }
@@ -1899,16 +1526,14 @@ pub unsafe extern "C" fn mmap64(
 /// Ready the fds of an in-kernel copy. A read-only source escapes; a
 /// writable PLFS fd on either side fails with `refuse`, an errno on which
 /// callers fall back to `read`/`write`, which the shim serves.
-fn kernel_copy(fd_in: c_int, fd_out: c_int, refuse: c_int) -> bool {
-    let writable = |fd| lookup(fd).is_some_and(|st| st.plfs_fd.flags().writable());
+fn kernel_copy(fd_in: c_int, fd_out: c_int, refuse: c_int) -> PosixResult<()> {
+    let writable = |fd| lookup(fd).is_some_and(|(_, e)| e.file.plfs_fd.flags().writable());
     if writable(fd_in) || lookup(fd_out).is_some() {
-        set_errno(refuse);
-        return false;
+        return Err(Errno(refuse));
     }
     escape(fd_in)
 }
 
-// plfs-lint: allow(errno-discipline, "kernel_copy sets errno when it refuses; the real call sets its own")
 unsafe fn do_copy_file_range(
     fd_in: c_int,
     off_in: *mut OffT,
@@ -1921,10 +1546,10 @@ unsafe fn do_copy_file_range(
         copy_file_range,
         unsafe extern "C" fn(c_int, *mut OffT, c_int, *mut OffT, SizeT, c_uint) -> SsizeT
     );
-    if !kernel_copy(fd_in, fd_out, EXDEV) {
-        return -1;
+    match kernel_copy(fd_in, fd_out, EXDEV) {
+        Ok(()) => f(fd_in, off_in, fd_out, off_out, len, flags),
+        Err(e) => cret(Err(e)),
     }
-    f(fd_in, off_in, fd_out, off_out, len, flags)
 }
 
 /// `copy_file_range(2)`.
@@ -1943,16 +1568,15 @@ pub unsafe extern "C" fn copy_file_range(
     )
 }
 
-// plfs-lint: allow(errno-discipline, "kernel_copy sets errno when it refuses; the real call sets its own")
 unsafe fn do_sendfile(out_fd: c_int, in_fd: c_int, off: *mut OffT, count: SizeT) -> SsizeT {
     let f = real!(
         sendfile,
         unsafe extern "C" fn(c_int, c_int, *mut OffT, SizeT) -> SsizeT
     );
-    if !kernel_copy(in_fd, out_fd, EINVAL) {
-        return -1;
+    match kernel_copy(in_fd, out_fd, EINVAL) {
+        Ok(()) => f(out_fd, in_fd, off, count),
+        Err(e) => cret(Err(e)),
     }
-    f(out_fd, in_fd, off, count)
 }
 
 /// `sendfile(2)`.
@@ -2064,29 +1688,30 @@ extern "C" fn adopt_at_load() {
 }
 
 /// Adopt the read-only PLFS fds this process inherited across `execve`:
-/// each memfd named `ldplfs-ro:<logical path>` becomes a tracked fd and is
-/// filled, since the exec'd program may read it without calling the shim
-/// (`md5sum < /mount/file` reads stdin inside glibc). The scan uses raw
-/// syscalls and stack buffers, and the shim is initialised only when such
-/// an fd exists, so other processes pay one directory read.
+/// each memfd named `ldplfs-ro:<logical path>` becomes a PLFS fd of the
+/// core and is filled, since the exec'd program may read it without
+/// calling the shim (`md5sum < /mount/file` reads stdin inside glibc). The
+/// scan uses raw syscalls and stack buffers, and the shim is initialised
+/// only when such an fd exists, so other processes pay one directory read.
 fn adopt_inherited() {
     let found = inherited_ro_fds();
     if found.is_empty() {
         return;
     }
-    let Some(sh) = shim() else {
+    let Some(Shim::On(core)) = shim() else {
         return;
     };
-    let pid = unsafe { getpid() } as u64;
+    let Some(mount) = core.mounts().first() else {
+        return;
+    };
     for (fd, rel) in found {
-        let Ok(pfd) = sh.plfs.open(&rel, OpenFlags::RDONLY, pid) else {
+        let path = format!("{}{rel}", mount.mount_point);
+        let Some(at) = core.route(&path) else {
             continue;
         };
-        let st = OpenState::new(pfd, &rel, false);
-        if ensure_filled(fd, &st).is_ok() {
-            track(sh, fd, st);
-        } else {
-            let _ = st.plfs_fd.close(pid);
+        let adopt = || Ok((fd, AtomicBool::new(false)));
+        if core.open_with(at, OpenFlags::RDONLY, adopt).is_ok() && escape(fd).is_err() {
+            let _ = core.forget(fd);
         }
     }
 }
@@ -2187,20 +1812,17 @@ pub struct CStatx {
 const STATX_BASIC_STATS: u32 = 0x7ff;
 const AT_EMPTY_PATH: c_int = 0x1000;
 
-unsafe fn fill_statx(out: *mut CStatx, size: u64, is_dir: bool, ino: u64) {
+unsafe fn fill_statx(out: *mut CStatx, size: u64, is_dir: bool, ino: u64) -> c_int {
     std::ptr::write_bytes(out as *mut u8, 0, std::mem::size_of::<CStatx>());
     let st = &mut *out;
     st.stx_mask = STATX_BASIC_STATS;
     st.stx_blksize = 4096;
     st.stx_nlink = 1;
-    st.stx_mode = if is_dir {
-        (S_IFDIR | 0o755) as u16
-    } else {
-        (S_IFREG | 0o644) as u16
-    };
+    st.stx_mode = mode(is_dir) as u16;
     st.stx_ino = ino;
     st.stx_size = size;
     st.stx_blocks = size.div_ceil(512);
+    0
 }
 
 unsafe fn do_statx(
@@ -2214,45 +1836,30 @@ unsafe fn do_statx(
         statx,
         unsafe extern "C" fn(c_int, *const c_char, c_int, c_uint, *mut CStatx) -> c_int
     );
-    let Some(sh) = shim() else {
-        return real_statx(dirfd, path, flags, mask, out);
-    };
     // AT_EMPTY_PATH: stat the fd itself (fstat spelling).
     if flags & AT_EMPTY_PATH != 0 {
-        if let Some(st) = lookup(dirfd) {
-            match st.plfs_fd.size() {
-                Ok(size) => {
-                    fill_statx(out, size, false, st.ino);
-                    return 0;
-                }
-                Err(e) => {
-                    set_errno(plfs_errno(&e));
-                    return -1;
-                }
+        return match lookup(dirfd) {
+            Some((core, e)) => {
+                let ino = fake_ino(&e.file.logical);
+                cret(
+                    core.fstat(&e)
+                        .map(|st| fill_statx(out, st.size, false, ino)),
+                )
             }
-        }
-        return real_statx(dirfd, path, flags, mask, out);
+            None => real_statx(dirfd, path, flags, mask, out),
+        };
     }
     let absolute = cstr(path).map(|p| p.starts_with('/')).unwrap_or(false);
-    if dirfd != AT_FDCWD && !absolute {
-        return real_statx(dirfd, path, flags, mask, out);
-    }
-    let Some(rel) = cstr(path).and_then(|p| logical(sh, p)) else {
-        return real_statx(dirfd, path, flags, mask, out);
+    let routed = match dirfd == AT_FDCWD || absolute {
+        true => cstr(path).and_then(route),
+        false => None,
     };
-    if rel == "/" {
-        fill_statx(out, 0, true, 1);
-        return 0;
-    }
-    match sh.plfs.getattr(&rel) {
-        Ok(st) => {
-            fill_statx(out, st.size, st.is_dir, fake_ino(&rel));
-            0
-        }
-        Err(e) => {
-            set_errno(plfs_errno(&e));
-            -1
-        }
+    match routed {
+        None => real_statx(dirfd, path, flags, mask, out),
+        Some(r) => cret(r.and_then(|(core, at)| {
+            let st = core.stat(at)?;
+            Ok(fill_statx(out, st.size, st.is_dir, fake_ino(at.rel)))
+        })),
     }
 }
 
@@ -2266,9 +1873,4 @@ pub unsafe extern "C" fn statx(
     out: *mut CStatx,
 ) -> c_int {
     ffi_guard!(-1, do_statx(dirfd, path, flags, mask, out))
-}
-
-/// How many fds the shim currently tracks (exposed for the smoke test).
-pub fn tracked_fds() -> usize {
-    shim().map(|s| s.table.read().len()).unwrap_or(0)
 }
